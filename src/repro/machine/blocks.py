@@ -29,20 +29,23 @@ exploit's machine state is part of the semantics):
   re-raising, so a fault mid-block leaves the machine byte-identical
   to the interpreter faulting on the same instruction.
 * **Memory accesses stay policy-checked.**  On machines with no PMA
-  modules and no red zones, loads/stores inline the single-page
-  permission fast path (mirroring ``Machine._check``) and fall back to
-  the machine's checked accessor for anything unusual -- page
-  straddles, permission denials (which kernel mode may still allow),
-  unmapped pages, writes to watched code pages, and writes to
-  snapshot-frozen pages (whose copy-on-write break must run before
-  bytes move) -- so every fault message, kernel-mode bypass,
-  copy-on-write break, and invalidation notification is the
-  interpreter's own.  With PMA or red zones active the generated code
-  always calls the checked accessors.
+  modules and no red zones, loads/stores inline the one fast-path
+  legality test every tier shares -- membership of the page in
+  ``Memory._fast_read``/``_fast_write`` -- and fall back to the
+  machine's checked accessor for anything unusual -- page straddles,
+  permission denials (which kernel mode may still allow), unmapped
+  pages, writes to watched code pages, and writes to snapshot-frozen
+  pages (whose copy-on-write break must run before bytes move) -- so
+  every fault message, kernel-mode bypass, copy-on-write break, and
+  invalidation notification is the interpreter's own.  With PMA or red
+  zones active the generated code always calls the checked accessors.
+* **One semantics table.**  ALU results, compare flags and branch
+  predicates are rendered from :data:`repro.machine.ir.SEMANTICS`, the
+  same templates the trace compiler uses.
 * **Self-modifying code.**  A store onto a watched code page
   invalidates that page's blocks mid-flight -- including, possibly,
-  the block doing the writing.  Such writes take the slow path (the
-  watched-page test is part of the inline fast path), and after each
+  the block doing the writing.  Such writes take the slow path
+  (watched pages are never in ``_fast_write``), and after each
   one the block compares the machine's block epoch: if any block died,
   the function writes back exact architectural state and returns, and
   the dispatch loop re-translates from the bytes just written
@@ -95,11 +98,19 @@ from typing import Callable, NamedTuple
 from repro.errors import MachineFault
 from repro.isa.instructions import WORD_MASK
 from repro.isa.opcodes import BLOCK_END_OPCODES
-from repro.machine.cpu import c_div, c_mod
-from repro.machine.ir import IRInst, lift_block
-from repro.machine.memory import PAGE_SIZE, PERM_X, _PAGE_SHIFT, _U32
-
-_PAGE_MASK = PAGE_SIZE - 1
+from repro.machine.ir import (
+    EFFECTIVE_ADDRESS,
+    LOAD_STORE_OPCODES,
+    MEMORY_OPCODES,
+    SEMANTICS,
+    STORE_OPCODES,
+    TEMPLATE_HELPERS,
+    IRInst,
+    fields,
+    lift_block,
+    operands,
+)
+from repro.machine.memory import PERM_X, _PAGE_SHIFT, _U32
 
 #: Default for :attr:`MachineConfig.max_block_insns`: the longest run
 #: of instructions fused into one block.  Long enough to swallow any
@@ -108,33 +119,6 @@ _PAGE_MASK = PAGE_SIZE - 1
 MAX_BLOCK_INSNS = 64
 
 _M = WORD_MASK  # 4294967295
-_SIGN = 0x80000000
-
-#: Condition expressions for the conditional branches, over the local
-#: flag variables of the generated function (same predicates as the
-#: interpreter's dispatch table in repro.machine.cpu).
-_BRANCH_CONDITIONS = {
-    0x1B: "zf",                  # jz
-    0x1C: "not zf",              # jnz
-    0x1D: "lt",                  # jl
-    0x1E: "not lt and not zf",   # jg
-    0x1F: "lt or zf",            # jle
-    0x20: "not lt",              # jge
-    0x21: "ult",                 # jb
-    0x22: "not ult",             # jae
-}
-
-_ARITH_RR = {0x0A: "+", 0x0C: "-", 0x0E: "*"}
-_ARITH_RI = {0x0B: "+", 0x0D: "-"}
-_LOGIC_RR = {0x11: "&", 0x12: "|", 0x13: "^"}
-
-#: Opcodes that touch guest memory through the machine's checked
-#: accessors: load, store, loadb, storeb, push, pop.
-_MEMORY_OPCODES = frozenset({0x04, 0x05, 0x06, 0x07, 0x08, 0x09})
-
-#: The subset that writes (and can therefore invalidate blocks,
-#: including the one executing).
-_STORE_OPCODES = frozenset({0x05, 0x07, 0x08})
 
 
 class CompiledBlock(NamedTuple):
@@ -189,12 +173,7 @@ def compile_block(machine, head: int) -> CompiledBlock | None:
     inline_mem = not pma_active and not machine.config.redzones
     source, exit_targets = _emit(insns, masked, pma_active, inline_mem, hub)
     cells = [[None] for _ in exit_targets]
-    namespace = {
-        "_MF": MachineFault,
-        "_div": c_div,
-        "_mod": c_mod,
-        "_u32": _U32,
-    }
+    namespace = {"_MF": MachineFault, "_u32": _U32, **TEMPLATE_HELPERS}
     if hub is not None:
         namespace.update(_hj=hub.jump, _hb=hub.branch, _hc=hub.call,
                          _hr=hub.ret, _hf=hub.fault,
@@ -233,11 +212,11 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
     #: terminators commit ``cpu.ip`` inside the try and fall through).
     tail_events: list[str] = []
     uses_epoch = any(
-        irx.opcode in _STORE_OPCODES and k != last_index
+        irx.opcode in STORE_OPCODES and k != last_index
         for k, irx in enumerate(insns)
     )
     uses_mem = inline_mem and any(
-        irx.opcode in _MEMORY_OPCODES for irx in insns
+        irx.opcode in MEMORY_OPCODES for irx in insns
     )
     exit_targets: list[int] = []
 
@@ -254,15 +233,21 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
         lines.append("    _e = m._block_epoch")
     if uses_mem:
         # Stable aliases: these containers are mutated, never replaced.
-        lines.append("    _mem = m.memory._pages; _pg = m.memory._perms")
-        lines.append("    _wp = m.memory._watched_pages")
-        # Snapshot-frozen pages must not be written in place: the
-        # slow path below performs the copy-on-write break.
-        lines.append("    _cw = m.memory._cow_pages")
+        lines.append("    _mem = m.memory._pages; _fr = m.memory._fast_read; "
+                     "_fw = m.memory._fast_write")
     if pma_active:
         lines.append("    _cf = m.pma.check_fetch")
     lines.append("    try:")
     emit = lines.append
+
+    def address(mem) -> str:
+        return EFFECTIVE_ADDRESS.format(
+            **fields(a=f"regs[{mem.base}]", b=mem.disp))
+
+    def set_flags(sem, f: dict) -> None:
+        emit("        " + "; ".join(f"{name} = {template.format(**f)}"
+                                    for name, template in sem.flags.items()))
+
     for k, irx in enumerate(insns):
         ip = irx.addr
         nxt = irx.next_addr
@@ -279,9 +264,6 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
         #: Execute-phase fault markers: the interpreter has already
         #: advanced cpu.ip to next_ip when a handler faults.
         markers = f"m.current_ip = {ip}; n = {k}; eip = {nxt}"
-
-        def flags() -> None:
-            emit("        zf = _t == 0; lt = _t > 2147483647")
 
         def writeback() -> None:
             emit("        cpu.zf = zf; cpu.lt = lt; cpu.ult = ult")
@@ -302,163 +284,99 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
                 emit(pad + f"    m.instructions_executed += {k + 1}")
                 emit(pad + "    return")
 
+        def read(dst: str, addr: str, size: int) -> None:
+            # ``dst = <size bytes at addr>``: the fast-page test inline,
+            # else the checked accessor (exact faults, kernel mode).
+            call = f"{dst} = m.read_{'word' if size == 4 else 'byte'}({addr})"
+            if not inline_mem:
+                emit(f"        {markers}")
+                emit(f"        {call}")
+                return
+            if size == 4:
+                emit(f"        _o = {addr} & 4095")
+                emit(f"        if _o <= 4092 and {addr} >> 12 in _fr:")
+                emit(f"            {dst} = _u32.unpack_from("
+                     f"_mem[{addr} >> 12], _o)[0]")
+            else:
+                emit(f"        if {addr} >> 12 in _fr:")
+                emit(f"            {dst} = _mem[{addr} >> 12][{addr} & 4095]")
+            if ev_read:
+                emit(f"            m.current_ip = {ip}")
+                emit(f"            for _ob in _hmr: "
+                     f"_ob.on_read(m, {addr}, {size}, {dst})")
+            emit("        else:")
+            emit(f"            {markers}")
+            emit(f"            {call}")
+
+        def write(value: str, addr: str, size: int) -> None:
+            # Store ``value``: the fast-page test inline (never true on
+            # a watched or snapshot-shared page), else slow_write.
+            width = "word" if size == 4 else "byte"
+            call = f"m.write_{width}({addr}, {value})"
+            if not inline_mem:
+                slow_write(call)
+                return
+            if size == 4:
+                emit(f"        _o = {addr} & 4095; _pn = {addr} >> 12")
+                emit("        if _o <= 4092 and _pn in _fw:")
+                emit(f"            _u32.pack_into(_mem[_pn], _o, {value})")
+            else:
+                emit(f"        _pn = {addr} >> 12")
+                emit("        if _pn in _fw:")
+                emit(f"            _mem[_pn][{addr} & 4095] = {value}")
+            if ev_write:
+                emit(f"            m.current_ip = {ip}")
+                emit(f"            for _ob in _hmw: "
+                     f"_ob.on_write(m, {addr}, {size}, {value})")
+            emit("        else:")
+            slow_write(call, "            ")
+
+        sem = SEMANTICS.get(op)
         if op in (0x00, 0x29):  # nop / land
             if not pma_active:
                 emit("        pass")
-        elif op == 0x02:  # mov rr
-            emit(f"        regs[{ops[0]}] = regs[{ops[1]}]")
-        elif op == 0x03:  # mov ri
-            emit(f"        regs[{ops[0]}] = {ops[1] & _M}")
-        elif op == 0x04:  # load
+        elif op in LOAD_STORE_OPCODES:
             reg, mem = ops
-            emit(f"        _a = (regs[{mem.base}] + {mem.disp}) & 4294967295")
-            if inline_mem:
-                emit("        _o = _a & 4095")
-                emit("        if _o <= 4092 and _pg.get(_a >> 12, 0) & 1:")
-                emit(f"            regs[{reg}] = "
-                     "_u32.unpack_from(_mem[_a >> 12], _o)[0]")
-                if ev_read:
-                    emit(f"            m.current_ip = {ip}")
-                    emit(f"            for _ob in _hmr: "
-                         f"_ob.on_read(m, _a, 4, regs[{reg}])")
-                emit("        else:")
-                emit(f"            {markers}")
-                emit(f"            regs[{reg}] = m.read_word(_a)")
+            emit(f"        _a = {address(mem)}")
+            if op == 0x04:
+                read(f"regs[{reg}]", "_a", 4)
+            elif op == 0x05:
+                write(f"regs[{reg}]", "_a", 4)
+            elif op == 0x06:
+                read(f"regs[{reg}]", "_a", 1)
             else:
-                emit(f"        {markers}")
-                emit(f"        regs[{reg}] = m.read_word(_a)")
-        elif op == 0x05:  # store
-            reg, mem = ops
-            emit(f"        _a = (regs[{mem.base}] + {mem.disp}) & 4294967295")
-            if inline_mem:
-                emit("        _o = _a & 4095; _pn = _a >> 12")
-                emit("        if _o <= 4092 and _pg.get(_pn, 0) & 2 "
-                     "and _pn not in _wp and _pn not in _cw:")
-                emit(f"            _u32.pack_into(_mem[_pn], _o, regs[{reg}])")
-                if ev_write:
-                    emit(f"            m.current_ip = {ip}")
-                    emit(f"            for _ob in _hmw: "
-                         f"_ob.on_write(m, _a, 4, regs[{reg}])")
-                emit("        else:")
-                slow_write(f"m.write_word(_a, regs[{reg}])", "            ")
-            else:
-                slow_write(f"m.write_word(_a, regs[{reg}])")
-        elif op == 0x06:  # loadb
-            reg, mem = ops
-            emit(f"        _a = (regs[{mem.base}] + {mem.disp}) & 4294967295")
-            if inline_mem:
-                emit("        if _pg.get(_a >> 12, 0) & 1:")
-                emit(f"            regs[{reg}] = _mem[_a >> 12][_a & 4095]")
-                if ev_read:
-                    emit(f"            m.current_ip = {ip}")
-                    emit(f"            for _ob in _hmr: "
-                         f"_ob.on_read(m, _a, 1, regs[{reg}])")
-                emit("        else:")
-                emit(f"            {markers}")
-                emit(f"            regs[{reg}] = m.read_byte(_a)")
-            else:
-                emit(f"        {markers}")
-                emit(f"        regs[{reg}] = m.read_byte(_a)")
-        elif op == 0x07:  # storeb
-            reg, mem = ops
-            emit(f"        _a = (regs[{mem.base}] + {mem.disp}) & 4294967295")
-            if inline_mem:
-                emit("        _pn = _a >> 12")
-                emit("        if _pg.get(_pn, 0) & 2 and _pn not in _wp "
-                     "and _pn not in _cw:")
-                emit(f"            _mem[_pn][_a & 4095] = regs[{reg}] & 255")
-                if ev_write:
-                    emit(f"            m.current_ip = {ip}")
-                    emit(f"            for _ob in _hmw: "
-                         f"_ob.on_write(m, _a, 1, regs[{reg}] & 255)")
-                emit("        else:")
-                slow_write(f"m.write_byte(_a, regs[{reg}] & 255)",
-                           "            ")
-            else:
-                slow_write(f"m.write_byte(_a, regs[{reg}] & 255)")
+                write(f"regs[{reg}] & 255", "_a", 1)
         elif op == 0x08:  # push: value read before SP moves (like the
             # interpreter); SP stays decremented if the write faults.
             emit(f"        _v = regs[{ops[0]}]")
             emit("        _sp = (regs[8] - 4) & 4294967295")
             emit("        regs[8] = _sp")
-            if inline_mem:
-                emit("        _o = _sp & 4095; _pn = _sp >> 12")
-                emit("        if _o <= 4092 and _pg.get(_pn, 0) & 2 "
-                     "and _pn not in _wp and _pn not in _cw:")
-                emit("            _u32.pack_into(_mem[_pn], _o, _v)")
-                if ev_write:
-                    emit(f"            m.current_ip = {ip}")
-                    emit("            for _ob in _hmw: "
-                         "_ob.on_write(m, _sp, 4, _v)")
-                emit("        else:")
-                slow_write("m.write_word(_sp, _v)", "            ")
-            else:
-                slow_write("m.write_word(_sp, _v)")
+            write("_v", "_sp", 4)
         elif op == 0x09:  # pop: SP unchanged if the read faults
             emit("        _sp = regs[8]")
-            if inline_mem:
-                emit("        _o = _sp & 4095")
-                emit("        if _o <= 4092 and _pg.get(_sp >> 12, 0) & 1:")
-                emit("            _v = _u32.unpack_from(_mem[_sp >> 12], "
-                     "_o)[0]")
-                if ev_read:
-                    emit(f"            m.current_ip = {ip}")
-                    emit("            for _ob in _hmr: "
-                         "_ob.on_read(m, _sp, 4, _v)")
-                emit("        else:")
-                emit(f"            {markers}")
-                emit("            _v = m.read_word(_sp)")
-            else:
-                emit(f"        {markers}")
-                emit("        _v = m.read_word(_sp)")
+            read("_v", "_sp", 4)
             emit("        regs[8] = (_sp + 4) & 4294967295")
             emit(f"        regs[{ops[0]}] = _v")
-        elif op in _ARITH_RR:
-            emit(f"        _t = (regs[{ops[0]}] {_ARITH_RR[op]} "
-                 f"regs[{ops[1]}]) & 4294967295")
-            emit(f"        regs[{ops[0]}] = _t")
-            flags()
-        elif op in _ARITH_RI:
-            emit(f"        _t = (regs[{ops[0]}] {_ARITH_RI[op]} "
-                 f"{ops[1] & _M}) & 4294967295")
-            emit(f"        regs[{ops[0]}] = _t")
-            flags()
-        elif op in (0x0F, 0x10):  # div / mod (DivisionFault possible)
-            helper = "_div" if op == 0x0F else "_mod"
-            emit(f"        {markers}")
-            emit(f"        _t = {helper}(regs[{ops[0]}], regs[{ops[1]}])")
-            emit(f"        regs[{ops[0]}] = _t")
-            flags()
-        elif op in _LOGIC_RR:  # operands are masked, result stays masked
-            emit(f"        _t = regs[{ops[0]}] {_LOGIC_RR[op]} regs[{ops[1]}]")
-            emit(f"        regs[{ops[0]}] = _t")
-            flags()
-        elif op == 0x14:  # not
-            emit(f"        _t = regs[{ops[0]}] ^ 4294967295")
-            emit(f"        regs[{ops[0]}] = _t")
-            flags()
-        elif op == 0x15:  # shl
-            emit(f"        _t = (regs[{ops[0]}] << {ops[1] & 31})"
-                 " & 4294967295")
-            emit(f"        regs[{ops[0]}] = _t")
-            flags()
-        elif op == 0x16:  # shr
-            emit(f"        _t = regs[{ops[0]}] >> {ops[1] & 31}")
-            emit(f"        regs[{ops[0]}] = _t")
-            flags()
-        elif op == 0x17:  # cmp rr (signed compare via sign-bit flip)
-            emit(f"        _a = regs[{ops[0]}]; _b = regs[{ops[1]}]")
-            emit("        zf = _a == _b; "
-                 "lt = (_a ^ 2147483648) < (_b ^ 2147483648); ult = _a < _b")
-        elif op == 0x18:  # cmp ri
-            imm = ops[1] & _M
-            emit(f"        _a = regs[{ops[0]}]")
-            emit(f"        zf = _a == {imm}; "
-                 f"lt = (_a ^ 2147483648) < {imm ^ _SIGN}; ult = _a < {imm}")
-        elif op == 0x27:  # lea
-            reg, mem = ops
-            emit(f"        regs[{reg}] = (regs[{mem.base}] + {mem.disp})"
-                 " & 4294967295")
+        elif sem is not None and sem.result is not None:  # mov/ALU/lea
+            a, b_reg, imm = operands(irx)
+            f = fields(a=f"regs[{a}]", r="_t",
+                       b=imm if b_reg is None else f"regs[{b_reg}]")
+            if irx.can_fault:  # div / mod: DivisionFault
+                emit(f"        {markers}")
+            if sem.flags:
+                emit(f"        _t = {sem.result.format(**f)}")
+                emit(f"        regs[{ops[0]}] = _t")
+                set_flags(sem, f)
+            else:
+                emit(f"        regs[{ops[0]}] = {sem.result.format(**f)}")
+        elif sem is not None and sem.flags:  # cmp: operands into locals
+            a, b_reg, imm = operands(irx)
+            if b_reg is None:
+                emit(f"        _a = regs[{a}]")
+                set_flags(sem, fields(a="_a", b=imm))
+            else:
+                emit(f"        _a = regs[{a}]; _b = regs[{b_reg}]")
+                set_flags(sem, fields(a="_a", b="_b"))
         elif op == 0x28:  # chk
             emit(f"        {markers}")
             emit(f"        m.bounds_check(regs[{ops[0]}], {ops[1] & _M})")
@@ -471,10 +389,11 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
                 emit(f"        for _o in _hj: _o.on_jump(m, {ip}, "
                      f"{target}, False)")
             emit(f"        return {chain_cell(target)}")
-        elif op in _BRANCH_CONDITIONS:  # jcc (terminator, both edges chained)
+        elif sem is not None:  # jcc (terminator, both edges chained)
             writeback()
             target = ops[0] & _M
-            emit(f"        if {_BRANCH_CONDITIONS[op]}:")
+            cond = sem.predicate.format(zf="zf", lt="lt", ult="ult")
+            emit(f"        if {cond}:")
             emit(f"            cpu.ip = {target}")
             emit(f"            m.instructions_executed += {len(insns)}")
             if ev_branch:

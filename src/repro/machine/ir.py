@@ -17,11 +17,18 @@ re-deriving it from opcode bytes --
   checks, shadow-stack checks, bounds checks, syscalls);
 * its control-flow kind and static target/fall-through addresses.
 
-Consumers today are the superblock compiler
-(:mod:`repro.machine.blocks`) and the trace JIT
-(:mod:`repro.machine.trace`); the layer is deliberately free of any
-machine/codegen imports so the SFI rewriter and static analyses can
-lift the same records without touching the execution engine.
+It also holds :data:`SEMANTICS`, the one per-opcode semantics table:
+expression templates for every register result, compare and branch
+predicate.  Both translation tiers render their code from it and the
+trace compiler folds constants by evaluating it, so the tiers cannot
+drift apart.  ``cpu.py`` stays hand-written: it is the reference the
+table is checked against (``tests/test_ir.py``), and the one every
+differential suite compares the tiers with.
+
+Consumers are the superblock compiler (:mod:`repro.machine.blocks`),
+the trace JIT (:mod:`repro.machine.trace`) and the SFI rewriter
+(:mod:`repro.sfi.rewriter`); lifting needs no machine, so static
+tools read the same records the execution tiers compile.
 
 Note the fault-capability flag describes the *baseline* machine: with
 protected modules (PMA) registered, every instruction can additionally
@@ -34,23 +41,26 @@ trace under either).
 from __future__ import annotations
 
 import enum
+import string
 from typing import NamedTuple
 
 from repro.errors import DecodeError, MemoryFault
 from repro.isa.encoding import decode
 from repro.isa.instructions import Instruction, Mem, WORD_MASK
-from repro.isa.opcodes import BLOCK_END_OPCODES, OPCODE_LENGTHS
+from repro.isa.opcodes import (
+    BLOCK_END_OPCODES,
+    OPCODE_LENGTHS,
+    OPCODE_SPECS,
+    OperandFormat,
+)
 from repro.isa.registers import NUM_REGISTERS, SP
+from repro.machine.cpu import c_div, c_mod
 
 #: All architectural register numbers (R0-R7, SP, BP).
 ALL_REGS = frozenset(range(NUM_REGISTERS))
 
 _EMPTY: frozenset[int] = frozenset()
 _NO_FLAGS: frozenset[str] = frozenset()
-#: FLAGS defined by arithmetic/logic results (``_set_flags_result``).
-RESULT_FLAGS = frozenset({"zf", "lt"})
-#: FLAGS defined by comparisons (``_set_flags_compare``).
-COMPARE_FLAGS = frozenset({"zf", "lt", "ult"})
 
 
 class ControlKind(enum.Enum):
@@ -118,31 +128,153 @@ class IRInst(NamedTuple):
         return self.opcode in BLOCK_END_OPCODES
 
 
-#: FLAGS each conditional-branch opcode reads (cpu dispatch predicates).
+# -- semantics table ---------------------------------------------------------
+
+
+class Semantics(NamedTuple):
+    """What one opcode computes, as Python expression templates.
+
+    Operand fields: ``{a}`` is the first register operand (``lea``: the
+    base register) and ``{b}`` the second register or the immediate --
+    :func:`operands` says which.  ``{sa}``/``{sb}`` are the same values
+    with the sign bit flipped, so unsigned order on them is signed
+    order on ``a``/``b``.  Results are u32; templates may call
+    ``_div``/``_mod`` (:data:`TEMPLATE_HELPERS`).
+    """
+
+    #: Value written to the destination register (operand 0).
+    result: str | None = None
+    #: FLAGS defined, name -> template: over the result ``{r}`` for
+    #: ALU ops, over the operands for ``cmp``.
+    flags: dict[str, str] = {}
+    #: Conditional-branch predicate over ``{zf}``/``{lt}``/``{ult}``.
+    predicate: str | None = None
+    #: ``(ka, kb)`` when ``result == ka*a + kb*b`` mod 2**32: the trace
+    #: compiler tracks base+offset addresses through these.
+    linear: tuple[int, int] | None = None
+    #: Mask the handler applies to an immediate ``b``.
+    imm_mask: int = WORD_MASK
+
+
+#: FLAGS every ALU result defines (``CPU._set_flags_result``).
+_RESULT = {"zf": "{r} == 0", "lt": "{r} > 2147483647"}
+#: FLAGS both ``cmp`` forms define (``CPU._set_flags_compare``).
+_COMPARE = {"zf": "{a} == {b}", "lt": "{sa} < {sb}", "ult": "{a} < {b}"}
+_ADD = "({a} + {b}) & 4294967295"
+_SUB = "({a} - {b}) & 4294967295"
+#: The ``[base + disp]`` effective address: ``lea``'s result, and the
+#: address every load/store touches.
+EFFECTIVE_ADDRESS = _ADD
+
+#: Opcode -> semantics, for every opcode that writes a register from
+#: its operands, sets FLAGS, or branches on them.
+SEMANTICS: dict[int, Semantics] = {
+    0x02: Semantics("{b}", linear=(0, 1)),                    # mov rr
+    0x03: Semantics("{b}", linear=(0, 1)),                    # mov ri
+    0x0A: Semantics(_ADD, _RESULT, linear=(1, 1)),            # add rr
+    0x0B: Semantics(_ADD, _RESULT, linear=(1, 1)),            # add ri
+    0x0C: Semantics(_SUB, _RESULT, linear=(1, -1)),           # sub rr
+    0x0D: Semantics(_SUB, _RESULT, linear=(1, -1)),           # sub ri
+    0x0E: Semantics("({a} * {b}) & 4294967295", _RESULT),     # mul
+    0x0F: Semantics("_div({a}, {b})", _RESULT),               # div
+    0x10: Semantics("_mod({a}, {b})", _RESULT),               # mod
+    0x11: Semantics("{a} & {b}", _RESULT),                    # and
+    0x12: Semantics("{a} | {b}", _RESULT),                    # or
+    0x13: Semantics("{a} ^ {b}", _RESULT),                    # xor
+    0x14: Semantics("{a} ^ 4294967295", _RESULT),             # not
+    0x15: Semantics("({a} << {b}) & 4294967295", _RESULT,    # shl
+                    imm_mask=31),
+    0x16: Semantics("{a} >> {b}", _RESULT, imm_mask=31),      # shr
+    0x17: Semantics(flags=_COMPARE),                          # cmp rr
+    0x18: Semantics(flags=_COMPARE),                          # cmp ri
+    0x1B: Semantics(predicate="{zf}"),                        # jz
+    0x1C: Semantics(predicate="not {zf}"),                    # jnz
+    0x1D: Semantics(predicate="{lt}"),                        # jl
+    0x1E: Semantics(predicate="not {lt} and not {zf}"),       # jg
+    0x1F: Semantics(predicate="{lt} or {zf}"),                # jle
+    0x20: Semantics(predicate="not {lt}"),                    # jge
+    0x21: Semantics(predicate="{ult}"),                       # jb
+    0x22: Semantics(predicate="not {ult}"),                   # jae
+    0x27: Semantics(EFFECTIVE_ADDRESS, linear=(1, 1)),        # lea
+}
+
+#: Names the templates call; generated code binds the same ones.
+TEMPLATE_HELPERS = {"_div": c_div, "_mod": c_mod}
+
+
+def template_fields(template: str) -> frozenset[str]:
+    """The field names ``template`` reads."""
+    return frozenset(
+        name for _, name, _, _ in string.Formatter().parse(template) if name
+    )
+
+
+def fields(**values: int | str) -> dict[str, str]:
+    """Template fields: an int renders as a literal, a str as the
+    Python expression it holds; each also gets its sign-flipped twin
+    ``s<name>`` (folded for literals)."""
+    out = {}
+    for name, value in values.items():
+        if isinstance(value, str):
+            out[name] = value
+            out["s" + name] = f"({value} ^ 2147483648)"
+        else:
+            out[name] = str(value)
+            out["s" + name] = str(value ^ 0x80000000)
+    return out
+
+
+def evaluate(template: str, **values: int) -> int:
+    """The value of ``template`` with every field it reads bound to a
+    constant (flags bind as bools).  Raises what the template raises:
+    ``DivisionFault`` for div/mod by zero."""
+    return eval(template.format(**fields(**values)), dict(TEMPLATE_HELPERS))
+
+
+def operands(insn: Instruction | IRInst) -> tuple[int, int | None, int]:
+    """``(a, b_reg, imm)`` for a :data:`SEMANTICS` opcode with a result
+    or flags: ``{a}`` is register ``a``; ``{b}`` is register ``b_reg``,
+    or the immediate ``imm`` when ``b_reg`` is None (``lea``: its signed
+    displacement; ``not``: 0, unread)."""
+    ops = insn.operands
+    fmt = OPCODE_SPECS[insn.opcode].fmt
+    if fmt is OperandFormat.REGREG:
+        return ops[0], ops[1], 0
+    if fmt is OperandFormat.REGMEM:
+        return ops[1].base, None, ops[1].disp
+    if fmt is OperandFormat.REG:
+        return ops[0], None, 0
+    return ops[0], None, ops[1] & SEMANTICS[insn.opcode].imm_mask
+
+
+#: FLAGS each conditional-branch opcode reads: its predicate's fields.
 BRANCH_FLAGS_READ: dict[int, frozenset[str]] = {
-    0x1B: frozenset({"zf"}),            # jz
-    0x1C: frozenset({"zf"}),            # jnz
-    0x1D: frozenset({"lt"}),            # jl
-    0x1E: frozenset({"lt", "zf"}),      # jg
-    0x1F: frozenset({"lt", "zf"}),      # jle
-    0x20: frozenset({"lt"}),            # jge
-    0x21: frozenset({"ult"}),           # jb
-    0x22: frozenset({"ult"}),           # jae
+    op: template_fields(sem.predicate)
+    for op, sem in SEMANTICS.items() if sem.predicate is not None
+}
+#: FLAGS defined by arithmetic/logic results and by comparisons.
+RESULT_FLAGS = frozenset(_RESULT)
+COMPARE_FLAGS = frozenset(_COMPARE)
+_FLAGS_WRITTEN = {op: frozenset(sem.flags) for op, sem in SEMANTICS.items()}
+#: The operands (``a``/``b``) each table opcode's templates read.
+_OPERANDS_READ = {
+    op: frozenset(
+        name for name in ("a", "b")
+        if any({name, "s" + name} & template_fields(template)
+               for template in (sem.result or "", *sem.flags.values())))
+    for op, sem in SEMANTICS.items()
 }
 
 _BRANCH_OPCODES = frozenset(BRANCH_FLAGS_READ)
 
-#: Opcodes whose handlers go through checked memory access.
-MEMORY_OPCODES = frozenset({0x04, 0x05, 0x06, 0x07, 0x08, 0x09})
-#: The subset that writes memory.
+#: Opcodes addressing memory through a ``[base + disp]`` operand:
+#: load, store, loadb, storeb.
+LOAD_STORE_OPCODES = frozenset({0x04, 0x05, 0x06, 0x07})
+#: Opcodes whose handlers go through checked memory access: the above
+#: plus push and pop, which also step SP by 4.
+MEMORY_OPCODES = LOAD_STORE_OPCODES | frozenset({0x08, 0x09})
+#: The subset that writes memory (and can so invalidate translations).
 STORE_OPCODES = frozenset({0x05, 0x07, 0x08})
-
-#: Result-flag writers: add/sub (rr+ri), mul, div, mod, and/or/xor,
-#: not, shl, shr.
-_RESULT_FLAG_OPCODES = frozenset(
-    {0x0A, 0x0B, 0x0C, 0x0D, 0x0E, 0x0F, 0x10,
-     0x11, 0x12, 0x13, 0x14, 0x15, 0x16}
-)
 
 #: Execute-phase fault capability on the baseline machine: memory
 #: access, div/mod by zero, indirect-transfer CFI checks, call/ret
@@ -164,14 +296,22 @@ for _op in _BRANCH_OPCODES:
     _KIND_BY_OPCODE[_op] = ControlKind.BRANCH
 
 
-def _reg_effects(opcode: int, ops: tuple) -> tuple[frozenset[int], frozenset[int]]:
+def _reg_effects(insn: Instruction) -> tuple[frozenset[int], frozenset[int]]:
     """(reads, writes) register sets for one decoded instruction."""
+    opcode, ops = insn.opcode, insn.operands
+    sem = SEMANTICS.get(opcode)
+    if sem is not None:
+        if sem.predicate is not None:       # branches read FLAGS only
+            return _EMPTY, _EMPTY
+        # The registers the templates read; the destination a result
+        # writes.
+        a, b_reg, _ = operands(insn)
+        regs = {"a": a, "b": b_reg}
+        reads = frozenset(regs[name] for name in _OPERANDS_READ[opcode]
+                          if regs[name] is not None)
+        return reads, (_EMPTY if sem.result is None else frozenset({ops[0]}))
     if opcode in (0x00, 0x01, 0x29):        # nop / halt / land
         return _EMPTY, _EMPTY
-    if opcode == 0x02:                      # mov rr
-        return frozenset({ops[1]}), frozenset({ops[0]})
-    if opcode == 0x03:                      # mov ri
-        return _EMPTY, frozenset({ops[0]})
     if opcode in (0x04, 0x06):              # load / loadb
         return frozenset({ops[1].base}), frozenset({ops[0]})
     if opcode in (0x05, 0x07):              # store / storeb
@@ -180,22 +320,10 @@ def _reg_effects(opcode: int, ops: tuple) -> tuple[frozenset[int], frozenset[int
         return frozenset({ops[0], SP}), frozenset({SP})
     if opcode == 0x09:                      # pop
         return frozenset({SP}), frozenset({ops[0], SP})
-    if opcode in (0x0A, 0x0C, 0x0E, 0x0F, 0x10, 0x11, 0x12, 0x13):
-        return frozenset({ops[0], ops[1]}), frozenset({ops[0]})
-    if opcode in (0x0B, 0x0D, 0x15, 0x16):  # add/sub ri, shl, shr
-        return frozenset({ops[0]}), frozenset({ops[0]})
-    if opcode == 0x14:                      # not
-        return frozenset({ops[0]}), frozenset({ops[0]})
-    if opcode == 0x17:                      # cmp rr
-        return frozenset({ops[0], ops[1]}), _EMPTY
-    if opcode == 0x18:                      # cmp ri
-        return frozenset({ops[0]}), _EMPTY
     if opcode == 0x19:                      # jmp abs
         return _EMPTY, _EMPTY
     if opcode == 0x1A:                      # jmp reg
         return frozenset({ops[0]}), _EMPTY
-    if opcode in _BRANCH_OPCODES:
-        return _EMPTY, _EMPTY
     if opcode == 0x23:                      # call abs: pushes next_addr
         return frozenset({SP}), frozenset({SP})
     if opcode == 0x24:                      # call reg
@@ -204,8 +332,6 @@ def _reg_effects(opcode: int, ops: tuple) -> tuple[frozenset[int], frozenset[int
         return frozenset({SP}), frozenset({SP})
     if opcode == 0x26:                      # sys: handlers may touch any
         return ALL_REGS, ALL_REGS           # register (input/rand -> r0)
-    if opcode == 0x27:                      # lea
-        return frozenset({ops[1].base}), frozenset({ops[0]})
     if opcode == 0x28:                      # chk
         return frozenset({ops[0]}), _EMPTY
     raise AssertionError(f"unhandled opcode 0x{opcode:02x}")  # pragma: no cover
@@ -216,17 +342,11 @@ def lift(insn: Instruction, addr: int) -> IRInst:
     opcode = insn.opcode
     length = OPCODE_LENGTHS[opcode]
     masked = addr & WORD_MASK
-    reads, writes = _reg_effects(opcode, insn.operands)
+    reads, writes = _reg_effects(insn)
     kind = _KIND_BY_OPCODE.get(opcode, ControlKind.FALL)
     target: int | None = None
     if kind in (ControlKind.JUMP, ControlKind.BRANCH, ControlKind.CALL):
         target = insn.operands[0] & WORD_MASK
-    if opcode in _RESULT_FLAG_OPCODES:
-        flags_written = RESULT_FLAGS
-    elif opcode in (0x17, 0x18):
-        flags_written = COMPARE_FLAGS
-    else:
-        flags_written = _NO_FLAGS
     return IRInst(
         addr=masked,
         length=length,
@@ -234,7 +354,7 @@ def lift(insn: Instruction, addr: int) -> IRInst:
         insn=insn,
         reads=reads,
         writes=writes,
-        flags_written=flags_written,
+        flags_written=_FLAGS_WRITTEN.get(opcode, _NO_FLAGS),
         flags_read=BRANCH_FLAGS_READ.get(opcode, _NO_FLAGS),
         can_fault=opcode in _CAN_FAULT,
         kind=kind,

@@ -612,14 +612,16 @@ class Machine:
                         self.current_ip,
                     )
 
-    # The word/byte accessors below fuse the permission check with the
-    # page access: one page-table probe answers both "may I" and "give
-    # me the buffer".  They handle only the common shape -- no PMA
-    # modules, access inside one mapped page with the needed permission
-    # bit, no poisoned byte under the access -- and fall back to the full
-    # ``_check`` + Memory accessor pair (identical semantics, identical
-    # fault text) for everything else, including every deny so kernel
-    # mode and error messages stay in exactly one place.  Campaign
+    # The word/byte accessors below take the fast-path legality test
+    # every tier shares: one membership probe of ``Memory._fast_read``
+    # / ``_fast_write`` answers "may I touch this page directly".  They
+    # handle only the common shape -- no PMA modules, access inside one
+    # fast page, no poisoned byte under the access -- and fall back to
+    # the full ``_check`` + Memory accessor pair (identical semantics,
+    # identical fault text) for everything else: every deny, so kernel
+    # mode and error messages stay in exactly one place, and every
+    # write to a snapshot-shared or watched page, whose copy-on-write
+    # break and code-write notification live in ``Memory``.  Campaign
     # workloads are dominated by these accessors: the ASan-instrumented
     # fuzzing victims spend about half their instructions on stack
     # traffic that lands here.
@@ -637,8 +639,7 @@ class Machine:
         if not self.pma.modules and (addr & _PAGE_MASK) <= PAGE_SIZE - 4:
             memory = self.memory
             page = addr >> _PAGE_SHIFT
-            perms = memory._perms.get(page)
-            if perms is not None and perms & PERM_R:
+            if page in memory._fast_read:
                 rz = self._redzones
                 if (not rz or page not in self._redzone_pages
                         or not self.config.redzones
@@ -654,19 +655,14 @@ class Machine:
         if not self.pma.modules and (addr & _PAGE_MASK) <= PAGE_SIZE - 4:
             memory = self.memory
             page = addr >> _PAGE_SHIFT
-            perms = memory._perms.get(page)
-            if perms is not None and perms & PERM_W:
+            if page in memory._fast_write:
                 rz = self._redzones
                 if (not rz or page not in self._redzone_pages
                         or not self.config.redzones
                         or not (addr in rz or addr + 1 in rz
                                 or addr + 2 in rz or addr + 3 in rz)):
-                    if page in memory._cow_pages:
-                        memory._cow_break(page)
                     _U32.pack_into(memory._pages[page], addr & _PAGE_MASK,
                                    value & WORD_MASK)
-                    if page in memory._watched_pages:
-                        memory._notify_code_write(page)
                     return
         self._check(AccessKind.WRITE, addr, 4)
         self.memory.write_word(addr, value)
@@ -676,8 +672,7 @@ class Machine:
         if not self.pma.modules:
             memory = self.memory
             page = addr >> _PAGE_SHIFT
-            perms = memory._perms.get(page)
-            if perms is not None and perms & PERM_R:
+            if page in memory._fast_read:
                 rz = self._redzones
                 if (not rz or addr not in rz or not self.config.redzones):
                     return memory._pages[page][addr & _PAGE_MASK]
@@ -689,15 +684,10 @@ class Machine:
         if not self.pma.modules:
             memory = self.memory
             page = addr >> _PAGE_SHIFT
-            perms = memory._perms.get(page)
-            if perms is not None and perms & PERM_W:
+            if page in memory._fast_write:
                 rz = self._redzones
                 if (not rz or addr not in rz or not self.config.redzones):
-                    if page in memory._cow_pages:
-                        memory._cow_break(page)
                     memory._pages[page][addr & _PAGE_MASK] = value & 0xFF
-                    if page in memory._watched_pages:
-                        memory._notify_code_write(page)
                     return
         self._check(AccessKind.WRITE, addr, 1)
         self.memory.write_byte(addr, value)

@@ -171,17 +171,18 @@ class Memory:
         #: write to one must copy it (:meth:`_cow_break`).  Mutated in
         #: place, never replaced: the block translator holds aliases.
         self._cow_pages: set[int] = set()
-        #: Derived indexes for the trace JIT's inline memory guards:
+        #: The one legality test of every memory fast path (the
+        #: machine's word/byte accessors, superblocks, traces):
         #: ``_fast_read`` holds every mapped page with PERM_R;
         #: ``_fast_write`` holds every mapped page with PERM_W that is
         #: neither watched (cached code lives there -- writes must
         #: take the notifying slow path) nor snapshot-shared (writes
         #: must run the copy-on-write break first).  A single set
         #: membership test therefore replaces the perms-dict probe,
-        #: the permission mask, and the watched/CoW exclusions on the
-        #: generated fast paths.  Like ``_cow_pages`` these are
-        #: mutated in place, never replaced: compiled traces alias
-        #: them.  Every mutating path below keeps them current.
+        #: the permission mask, and the watched/CoW exclusions.  Like
+        #: ``_cow_pages`` these are mutated in place, never replaced:
+        #: compiled code aliases them.  Every mutating path below
+        #: keeps them current.
         self._fast_read: set[int] = set()
         self._fast_write: set[int] = set()
         #: Pages copied or created since the last snapshot()/restore()

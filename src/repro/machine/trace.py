@@ -33,6 +33,11 @@ The compiler applies four optimisations the superblock tier cannot
   fault-capable calls and the loop close materialise, so architectural
   flags are exact wherever they can be observed.
 
+ALU results, compares and branch guards are rendered from
+:data:`repro.machine.ir.SEMANTICS`, and constants fold by evaluating
+the same templates, so the trace tier computes what the block tier
+does.
+
 Exactness contract (same as blocks.py, held by the differential
 suites): every exit -- guard failure, budget exhaustion, epoch bump
 after a slow store, or a machine fault -- writes back registers,
@@ -49,47 +54,23 @@ from typing import Callable, NamedTuple
 
 from repro.errors import ExecutionLimitExceeded, MachineFault
 from repro.isa.instructions import WORD_MASK
-from repro.machine.cpu import c_div, c_mod
-from repro.machine.ir import ControlKind, IRInst, lift_at
+from repro.machine.ir import (
+    EFFECTIVE_ADDRESS,
+    SEMANTICS,
+    TEMPLATE_HELPERS,
+    ControlKind,
+    IRInst,
+    evaluate,
+    fields,
+    lift_at,
+    operands,
+    template_fields,
+)
 from repro.machine.memory import _U32
 
 _M = WORD_MASK
 _SIGN = 0x80000000
 _PAGE = 4096
-
-_ARITH_RR = {0x0A: "+", 0x0C: "-", 0x0E: "*"}
-_ARITH_RI = {0x0B: "+", 0x0D: "-"}
-_LOGIC_RR = {0x11: "&", 0x12: "|", 0x13: "^"}
-
-#: Flags each conditional branch needs, and its predicate builder.
-_COND_NEEDS = {
-    0x1B: ("zf",), 0x1C: ("zf",),
-    0x1D: ("lt",), 0x20: ("lt",),
-    0x1E: ("lt", "zf"), 0x1F: ("lt", "zf"),
-    0x21: ("ult",), 0x22: ("ult",),
-}
-
-
-def _cond_expr(op: int, zf: str, lt: str, ult: str) -> str:
-    return {
-        0x1B: f"{zf}",
-        0x1C: f"not {zf}",
-        0x1D: f"{lt}",
-        0x1E: f"not {lt} and not {zf}",
-        0x1F: f"{lt} or {zf}",
-        0x20: f"not {lt}",
-        0x21: f"{ult}",
-        0x22: f"not {ult}",
-    }[op]
-
-
-def _cond_value(op: int, zf: bool, lt: bool, ult: bool | None) -> bool:
-    return {
-        0x1B: zf, 0x1C: not zf,
-        0x1D: lt, 0x1E: not lt and not zf,
-        0x1F: lt or zf, 0x20: not lt,
-        0x21: bool(ult), 0x22: not ult,
-    }[op]
 
 
 def _signed(value: int) -> int:
@@ -328,13 +309,10 @@ class _TraceCompiler:
             op = irx.opcode
             ops = irx.operands
             kind = irx.kind
+            sem = SEMANTICS.get(op)
             if op in (0x00, 0x29, 0x01):            # nop / land (halt filtered)
                 continue
-            if op == 0x02:                          # mov rr
-                write_reg(ops[0], sym[ops[1]])
-            elif op == 0x03:                        # mov ri
-                write_reg(ops[0], ("c", ops[1] & _M))
-            elif op in (0x04, 0x06):                # load / loadb
+            if op in (0x04, 0x06):                  # load / loadb
                 byte = op == 0x06
                 size = 1 if byte else 4
                 asym = self._mem_sym(sym, ops[1])
@@ -406,45 +384,11 @@ class _TraceCompiler:
                                      ver=regver[ops[0]], vsym=None,
                                      byte=False,
                                      temp_val=f"r{ops[0]}"))
-            elif op in _ARITH_RR or op in _LOGIC_RR or op in (0x0F, 0x10):
-                d, s = ops
-                a, b = sym[d], sym[s]
-                res = self._fold_rr(op, a, b)
-                write_reg(d, res)
-                if op in (0x0F, 0x10):
-                    write_reg(d, None)  # div/mod: never folded
-            elif op in _ARITH_RI:
-                d = ops[0]
-                imm = ops[1] & _M
-                a = sym[d]
-                if a is not None and a[0] == "c":
-                    v = ((a[1] + imm) if op == 0x0B else (a[1] - imm)) & _M
-                    write_reg(d, ("c", v))
-                elif a is not None and a[0] == "r":
-                    delta = _signed(imm) if op == 0x0B else -_signed(imm)
-                    write_reg(d, ("r", a[1], a[2] + delta))
-                else:
-                    write_reg(d, None)
-            elif op == 0x14:                        # not
-                a = sym[ops[0]]
-                write_reg(ops[0], ("c", a[1] ^ _M)
-                          if a is not None and a[0] == "c" else None)
-            elif op in (0x15, 0x16):                # shl / shr
-                a = sym[ops[0]]
-                sh = ops[1] & 31
-                if a is not None and a[0] == "c":
-                    v = ((a[1] << sh) & _M) if op == 0x15 else (a[1] >> sh)
-                    write_reg(ops[0], ("c", v))
-                else:
-                    write_reg(ops[0], None)
-            elif op in (0x17, 0x18):                # cmp: flags only
+            elif sem is not None and sem.result is not None:
+                write_reg(ops[0], self._result_sym(irx, sym))
+            elif sem is not None or op == 0x28:     # cmp / jcc / chk
                 continue
-            elif op == 0x27:                        # lea
-                write_reg(ops[0], self._mem_sym(sym, ops[1]))
-            elif op == 0x28:                        # chk: no reg effects
-                continue
-            elif kind in (ControlKind.JUMP, ControlKind.BRANCH,
-                          ControlKind.JUMP_REG):
+            elif kind in (ControlKind.JUMP, ControlKind.JUMP_REG):
                 continue
             elif kind in (ControlKind.CALL, ControlKind.CALL_REG):
                 live.clear()                        # helper writes memory
@@ -456,34 +400,34 @@ class _TraceCompiler:
         self.has_dyn_mem = any(rec[3] is None for rec in self.access_rec)
 
     @staticmethod
-    def _fold_rr(op, a, b):
-        """Symbolic result of a register-register ALU op (or None)."""
-        if a is not None and b is not None and a[0] == "c" and b[0] == "c":
-            x, y = a[1], b[1]
-            if op == 0x0A:
-                return ("c", (x + y) & _M)
-            if op == 0x0C:
-                return ("c", (x - y) & _M)
-            if op == 0x0E:
-                return ("c", (x * y) & _M)
-            if op == 0x11:
-                return ("c", x & y)
-            if op == 0x12:
-                return ("c", x | y)
-            if op == 0x13:
-                return ("c", x ^ y)
-            return None
-        if op == 0x0A:                              # add: rel + const
-            if (a is not None and a[0] == "r"
-                    and b is not None and b[0] == "c"):
-                return ("r", a[1], a[2] + _signed(b[1]))
-            if (b is not None and b[0] == "r"
-                    and a is not None and a[0] == "c"):
-                return ("r", b[1], b[2] + _signed(a[1]))
-        if op == 0x0C:                              # sub: rel - const
-            if (a is not None and a[0] == "r"
-                    and b is not None and b[0] == "c"):
-                return ("r", a[1], a[2] - _signed(b[1]))
+    def _result_sym(irx: IRInst, sym):
+        """Symbolic value a :data:`SEMANTICS` op writes (or None).
+
+        A constant when every operand its template reads is one -- the
+        template is evaluated, except for div/mod, which can fault; a
+        base+offset when the op is linear in one base-relative operand
+        and a constant.
+        """
+        sem = SEMANTICS[irx.opcode]
+        a, b_reg, imm = operands(irx)
+        va = sym[a]
+        vb = ("c", imm & _M) if b_reg is None else sym[b_reg]
+        values = {"a": va, "b": vb}
+        read = template_fields(sem.result)
+        if not irx.can_fault and all(
+                values[name] is not None and values[name][0] == "c"
+                for name in read):
+            return ("c", evaluate(sem.result,
+                                  **{name: values[name][1] for name in read}))
+        ka, kb = sem.linear or (0, 0)
+        for k_rel, rel, k_other, other in ((ka, va, kb, vb),
+                                           (kb, vb, ka, va)):
+            if k_rel != 1 or rel is None or rel[0] != "r":
+                continue
+            if k_other == 0:
+                return rel
+            if other is not None and other[0] == "c":
+                return ("r", rel[1], rel[2] + k_other * _signed(other[1]))
         return None
 
     # -- phase B ----------------------------------------------------------------------
@@ -526,8 +470,7 @@ class _TraceCompiler:
         self._analyze()
         self._build_groups()
         source = self._emit()
-        namespace = {"_MF": MachineFault, "_u32": _U32,
-                     "_div": c_div, "_mod": c_mod}
+        namespace = {"_MF": MachineFault, "_u32": _U32, **TEMPLATE_HELPERS}
         exec(compile(source, f"<trace 0x{self.head:08x}>", "exec"), namespace)
         return source, namespace["_trace"]
 
@@ -544,17 +487,17 @@ class _TraceCompiler:
         def emit(line: str, ind: int = 3) -> None:
             out.append("    " * ind + line)
 
-        # Emission-time flag state: None = locals architectural,
-        # "res" = zf/lt pending in _t, ("const", zb, lb) = known.
+        # Emission-time flag state: "pending" is None (the locals are
+        # architectural) or the flags a result defined but did not yet
+        # store -- ("res", {flag: expression over _t}) or ("const",
+        # {flag: bool}); "ult" is None or its known value.
         state = {"pending": None, "ult": None}
 
         def mat_lines() -> list[str]:
             pending = state["pending"]
             if pending is None:
                 return []
-            if pending == "res":
-                return ["zf = _t == 0", "lt = _t > 2147483647"]
-            return [f"zf = {pending[1]}", f"lt = {pending[2]}"]
+            return [f"{name} = {value}" for name, value in pending[1].items()]
 
         def mat(ind: int) -> None:
             for line in mat_lines():
@@ -564,14 +507,16 @@ class _TraceCompiler:
             mat(3)
             state["pending"] = None
 
-        def flag_exprs() -> tuple[str, str, str]:
+        def flag_exprs() -> dict[str, str]:
+            exprs = {"zf": "zf", "lt": "lt", "ult": "ult"}
+            if state["ult"] is not None:
+                exprs["ult"] = str(state["ult"])
             pending = state["pending"]
-            ult = "ult" if state["ult"] is None else str(state["ult"])
-            if pending == "res":
-                return "(_t == 0)", "(_t > 2147483647)", ult
             if pending is not None:
-                return str(pending[1]), str(pending[2]), ult
-            return "zf", "lt", ult
+                for name, value in pending[1].items():
+                    exprs[name] = (f"({value})" if pending[0] == "res"
+                                   else str(value))
+            return exprs
 
         def exit_block(ind: int, ip_expr, retired: str,
                        current_ip=None, ret: str = "None") -> None:
@@ -590,17 +535,19 @@ class _TraceCompiler:
             emit(f"m.current_ip = {irx.addr}; n = {k}; "
                  f"eip = {irx.next_addr}", ind)
 
-        def reg_expr(sym, reg: int) -> str:
-            value = sym.get(reg)
+        def operand(sym, reg: int | None, imm: int = 0) -> int | str:
+            """A template operand: its known constant, else ``r<reg>``."""
+            value = ("c", imm & _M) if reg is None else sym.get(reg)
             if value is not None and value[0] == "c":
-                return str(value[1])
+                return value[1]
             return f"r{reg}"
 
-        def addr_line(base: int, disp: int) -> None:
+        def address(base: int, disp: int) -> str:
+            """``[base + disp]``; a zero displacement adds nothing."""
             if disp == 0:
-                emit(f"_a = r{base}")
-            else:
-                emit(f"_a = (r{base} + {disp & _M}) & 4294967295")
+                return f"r{base}"
+            return EFFECTIVE_ADDRESS.format(
+                **fields(a=f"r{base}", b=disp & _M))
 
         def group_off(k: int) -> str:
             gid, delta = self.access_group[k]
@@ -612,6 +559,43 @@ class _TraceCompiler:
         def epoch_bail(k: int, ip_expr, ind: int) -> None:
             emit(f"if m._block_epoch != _e:", ind)
             exit_block(ind + 1, ip_expr, f"_nb + {k + 1}")
+
+        def dyn_read(k: int, dst: str, addr: str, size: int, fwd) -> None:
+            # An ungrouped load: the fast-page test, else the checked
+            # accessor.  A forwarded value still needs the test (a
+            # W-only page must fault as the interpreter would).
+            if size == 4:
+                emit(f"_o = {addr} & 4095")
+                emit(f"if _o <= 4092 and {addr} >> 12 in _fr:")
+                fast = f"_up(_mem[{addr} >> 12], _o)[0]"
+            else:
+                emit(f"if {addr} >> 12 in _fr:")
+                fast = f"_mem[{addr} >> 12][{addr} & 4095]"
+            emit(f"{dst} = {fast if fwd is None else fwd[0]}", 4)
+            emit("else:")
+            mat(4)
+            markers(k, 4)
+            emit(f"{dst} = m.read_{'word' if size == 4 else 'byte'}({addr})",
+                 4)
+
+        def dyn_write(k: int, value: str, addr: str, size: int) -> None:
+            # An ungrouped store: the fast-page test (never true on a
+            # watched or snapshot-shared page), else the checked
+            # accessor and an epoch check.
+            if size == 4:
+                emit(f"_o = {addr} & 4095; _pn = {addr} >> 12")
+                emit("if _o <= 4092 and _pn in _fw:")
+                emit(f"_pk(_mem[_pn], _o, {value})", 4)
+            else:
+                emit(f"_pn = {addr} >> 12")
+                emit("if _pn in _fw:")
+                emit(f"_mem[_pn][{addr} & 4095] = {value}", 4)
+            emit("else:")
+            mat(4)
+            markers(k, 4)
+            width = "word" if size == 4 else "byte"
+            emit(f"m.write_{width}({addr}, {value})", 4)
+            epoch_bail(k, steps[k].ir.next_addr, 4)
 
         # -- prologue -----------------------------------------------------------------
         out.append("def _trace(m, cpu, _lim):")
@@ -677,12 +661,9 @@ class _TraceCompiler:
             nxt = irx.next_addr
             grouped = k in self.access_group
             fwd = self.load_fwd.get(k)
+            sem = SEMANTICS.get(op)
             if op in (0x00, 0x29):
                 continue
-            elif op == 0x02:
-                emit(f"r{ops[0]} = r{ops[1]}")
-            elif op == 0x03:
-                emit(f"r{ops[0]} = {ops[1] & _M}")
             elif op in (0x04, 0x06):                # load / loadb
                 d, mem = ops
                 byte = op == 0x06
@@ -697,25 +678,8 @@ class _TraceCompiler:
                              f"_b{self.access_group[k][0]}, "
                              f"{group_off(k)})[0]")
                 else:
-                    addr_line(mem.base, mem.disp)
-                    if byte:
-                        emit("if _a >> 12 in _fr:")
-                        emit(f"r{d} = " + (fwd[0] if fwd is not None else
-                                           "_mem[_a >> 12][_a & 4095]"), 4)
-                        emit("else:")
-                        mat(4)
-                        markers(k, 4)
-                        emit(f"r{d} = m.read_byte(_a)", 4)
-                    else:
-                        emit("_o = _a & 4095")
-                        emit("if _o <= 4092 and _a >> 12 in _fr:")
-                        emit(f"r{d} = " + (
-                            fwd[0] if fwd is not None else
-                            "_up(_mem[_a >> 12], _o)[0]"), 4)
-                        emit("else:")
-                        mat(4)
-                        markers(k, 4)
-                        emit(f"r{d} = m.read_word(_a)", 4)
+                    emit(f"_a = {address(mem.base, mem.disp)}")
+                    dyn_read(k, f"r{d}", "_a", 1 if byte else 4, fwd)
                 if k in self.store_temp:
                     emit(f"_f{k} = {self.store_temp[k]}")
             elif op in (0x05, 0x07):                # store / storeb
@@ -729,25 +693,11 @@ class _TraceCompiler:
                         emit(f"_pk(_b{gid}, {group_off(k)}, "
                              f"r{s})")
                 else:
-                    addr_line(mem.base, mem.disp)
+                    emit(f"_a = {address(mem.base, mem.disp)}")
                     if byte:
-                        emit("_pn = _a >> 12")
-                        emit("if _pn in _fw:")
-                        emit(f"_mem[_pn][_a & 4095] = r{s} & 255", 4)
-                        emit("else:")
-                        mat(4)
-                        markers(k, 4)
-                        emit(f"m.write_byte(_a, r{s} & 255)", 4)
-                        epoch_bail(k, nxt, 4)
+                        dyn_write(k, f"r{s} & 255", "_a", 1)
                     else:
-                        emit("_o = _a & 4095; _pn = _a >> 12")
-                        emit("if _o <= 4092 and _pn in _fw:")
-                        emit(f"_pk(_mem[_pn], _o, r{s})", 4)
-                        emit("else:")
-                        mat(4)
-                        markers(k, 4)
-                        emit(f"m.write_word(_a, r{s})", 4)
-                        epoch_bail(k, nxt, 4)
+                        dyn_write(k, f"r{s}", "_a", 4)
                 if k in self.store_temp:
                     emit(f"_f{k} = {self.store_temp[k]}")
             elif op == 0x08:                        # push
@@ -761,14 +711,7 @@ class _TraceCompiler:
                     gid = self.access_group[k][0]
                     emit(f"_pk(_b{gid}, {group_off(k)}, {val})")
                 else:
-                    emit("_o = r8 & 4095; _pn = r8 >> 12")
-                    emit("if _o <= 4092 and _pn in _fw:")
-                    emit(f"_pk(_mem[_pn], _o, {val})", 4)
-                    emit("else:")
-                    mat(4)
-                    markers(k, 4)
-                    emit(f"m.write_word(r8, {val})", 4)
-                    epoch_bail(k, nxt, 4)
+                    dyn_write(k, val, "r8", 4)
                 if k in self.store_temp:
                     emit(f"_f{k} = {self.store_temp[k]}")
             elif op == 0x09:                        # pop
@@ -783,15 +726,7 @@ class _TraceCompiler:
                         emit(f"r{d} = {vexpr}")
                         emit("r8 = (r8 + 4) & 4294967295")
                 else:
-                    emit("_o = r8 & 4095")
-                    emit("if _o <= 4092 and r8 >> 12 in _fr:")
-                    emit("_v = " + (fwd[0] if fwd is not None else
-                                    "_up(_mem[r8 >> 12], "
-                                    "_o)[0]"), 4)
-                    emit("else:")
-                    mat(4)
-                    markers(k, 4)
-                    emit("_v = m.read_word(r8)", 4)
+                    dyn_read(k, "_v", "r8", 4, fwd)
                     if d == 8:
                         emit("r8 = _v")
                     else:
@@ -799,108 +734,54 @@ class _TraceCompiler:
                         emit(f"r{d} = _v")
                 if k in self.store_temp:
                     emit(f"_f{k} = {self.store_temp[k]}")
-            elif op in _ARITH_RR or op in _LOGIC_RR:
-                d, s = ops
-                res = self._fold_rr(op, sym.get(d), sym.get(s))
+            elif sem is not None and sem.linear == (0, 1):
+                # mov: a plain copy (folding it would save nothing).
+                _, b_reg, imm = operands(irx)
+                src = imm if b_reg is None else f"r{b_reg}"
+                emit(f"r{ops[0]} = {sem.result.format(**fields(b=src))}")
+            elif sem is not None and sem.result is not None:
+                d = ops[0]                          # ALU / lea
+                a, b_reg, imm = operands(irx)
+                res = self._result_sym(irx, sym)
                 if res is not None and res[0] == "c":
                     emit(f"r{d} = {res[1]}")
-                    state["pending"] = ("const", res[1] == 0,
-                                        res[1] > 0x7FFFFFFF)
+                    if sem.flags:
+                        state["pending"] = ("const", {
+                            name: evaluate(template, r=res[1])
+                            for name, template in sem.flags.items()})
+                elif not sem.flags:                 # lea
+                    emit(f"r{d} = {address(a, imm)}")
                 else:
-                    ea, eb = reg_expr(sym, d), reg_expr(sym, s)
-                    if op in _ARITH_RR:
-                        emit(f"_t = ({ea} {_ARITH_RR[op]} {eb})"
-                             " & 4294967295")
-                    else:
-                        emit(f"_t = {ea} {_LOGIC_RR[op]} {eb}")
+                    if irx.can_fault:               # div / mod
+                        mat_main()
+                        markers(k)
+                    # Known constants are inlined, except into div/mod,
+                    # whose operands stay in registers.
+                    known = {} if irx.can_fault else sym
+                    f = fields(a=operand(known, a),
+                               b=operand(known, b_reg, imm), r="_t")
+                    emit(f"_t = {sem.result.format(**f)}")
                     emit(f"r{d} = _t")
-                    state["pending"] = "res"
-            elif op in _ARITH_RI:
-                d = ops[0]
-                imm = ops[1] & _M
-                a = sym.get(d)
-                if a is not None and a[0] == "c":
-                    v = ((a[1] + imm) if op == 0x0B else (a[1] - imm)) & _M
-                    emit(f"r{d} = {v}")
-                    state["pending"] = ("const", v == 0, v > 0x7FFFFFFF)
+                    state["pending"] = ("res", {
+                        name: template.format(**f)
+                        for name, template in sem.flags.items()})
+            elif sem is not None and sem.flags:     # cmp rr / cmp ri
+                a, b_reg, imm = operands(irx)
+                va, vb = operand(sym, a), operand(sym, b_reg, imm)
+                if isinstance(va, int) and isinstance(vb, int):
+                    values = {name: evaluate(template, a=va, b=vb)
+                              for name, template in sem.flags.items()}
                 else:
-                    emit(f"_t = (r{d} {_ARITH_RI[op]} {imm})"
-                         " & 4294967295")
-                    emit(f"r{d} = _t")
-                    state["pending"] = "res"
-            elif op in (0x0F, 0x10):                # div / mod
-                mat_main()
-                markers(k)
-                helper = "_div" if op == 0x0F else "_mod"
-                emit(f"_t = {helper}(r{ops[0]}, r{ops[1]})")
-                emit(f"r{ops[0]} = _t")
-                state["pending"] = "res"
-            elif op == 0x14:                        # not
-                d = ops[0]
-                a = sym.get(d)
-                if a is not None and a[0] == "c":
-                    v = a[1] ^ _M
-                    emit(f"r{d} = {v}")
-                    state["pending"] = ("const", v == 0, v > 0x7FFFFFFF)
-                else:
-                    emit(f"_t = r{d} ^ 4294967295")
-                    emit(f"r{d} = _t")
-                    state["pending"] = "res"
-            elif op in (0x15, 0x16):                # shl / shr
-                d = ops[0]
-                sh = ops[1] & 31
-                a = sym.get(d)
-                if a is not None and a[0] == "c":
-                    v = ((a[1] << sh) & _M) if op == 0x15 else (a[1] >> sh)
-                    emit(f"r{d} = {v}")
-                    state["pending"] = ("const", v == 0, v > 0x7FFFFFFF)
-                else:
-                    if op == 0x15:
-                        emit(f"_t = (r{d} << {sh}) & 4294967295")
-                    else:
-                        emit(f"_t = r{d} >> {sh}")
-                    emit(f"r{d} = _t")
-                    state["pending"] = "res"
-            elif op in (0x17, 0x18):                # cmp rr / cmp ri
-                if op == 0x17:
-                    a, b = sym.get(ops[0]), sym.get(ops[1])
-                    eb = reg_expr(sym, ops[1])
-                else:
-                    a, b = sym.get(ops[0]), ("c", ops[1] & _M)
-                    eb = str(ops[1] & _M)
-                ea = reg_expr(sym, ops[0])
-                if (a is not None and a[0] == "c"
-                        and b is not None and b[0] == "c"):
-                    x, y = a[1], b[1]
-                    zv, lv, uv = (x == y,
-                                  (x ^ _SIGN) < (y ^ _SIGN), x < y)
-                    emit(f"zf = {zv}; lt = {lv}; ult = {uv}")
-                    state["ult"] = uv
-                else:
-                    eax = (str(a[1] ^ _SIGN) if a is not None
-                           and a[0] == "c" else f"({ea} ^ 2147483648)")
-                    ebx = (str(b[1] ^ _SIGN) if b is not None
-                           and b[0] == "c" else f"({eb} ^ 2147483648)")
-                    if b is not None and b[0] == "c" and b[1] == 0:
-                        # Nothing unsigned is below zero.
-                        emit(f"zf = {ea} == 0; lt = {eax} < {ebx}; "
-                             "ult = False")
-                        state["ult"] = False
-                    else:
-                        emit(f"zf = {ea} == {eb}; lt = {eax} < {ebx}; "
-                             f"ult = {ea} < {eb}")
-                        state["ult"] = None
+                    f = fields(a=va, b=vb)
+                    values = {name: template.format(**f)
+                              for name, template in sem.flags.items()}
+                    if vb == 0:                     # nothing unsigned
+                        values["ult"] = False       # is below zero
+                emit("; ".join(f"{name} = {value}"
+                               for name, value in values.items()))
+                state["ult"] = (values["ult"]
+                                if isinstance(values["ult"], bool) else None)
                 state["pending"] = None
-            elif op == 0x27:                        # lea
-                d, mem = ops
-                a = sym.get(mem.base)
-                if a is not None and a[0] == "c":
-                    emit(f"r{d} = {(a[1] + mem.disp) & _M}")
-                elif mem.disp == 0:
-                    emit(f"r{d} = r{mem.base}")
-                else:
-                    emit(f"r{d} = (r{mem.base} + {mem.disp & _M})"
-                         " & 4294967295")
             elif op == 0x28:                        # chk
                 mat_main()
                 markers(k)
@@ -910,20 +791,18 @@ class _TraceCompiler:
             elif kind is ControlKind.BRANCH:
                 taken = step.observed == irx.target
                 other = irx.next_addr if taken else irx.target
+                known = {}
+                if state["ult"] is not None:
+                    known["ult"] = state["ult"]
                 pending = state["pending"]
-                zk = lk = None
-                if pending is not None and pending != "res":
-                    zk, lk = pending[1], pending[2]
-                known = {"zf": zk is not None, "lt": lk is not None,
-                         "ult": state["ult"] is not None}
-                if all(known[f] for f in _COND_NEEDS[op]):
-                    if _cond_value(op, bool(zk), bool(lk),
-                                   state["ult"]) != taken:
+                if pending is not None and pending[0] == "const":
+                    known.update(pending[1])
+                if irx.flags_read <= known.keys():
+                    if evaluate(sem.predicate, **known) != taken:
                         raise _TraceAbort("static branch contradicts "
                                           "recording")
                     continue                        # guard always holds
-                zfE, ltE, ultE = flag_exprs()
-                cond = _cond_expr(op, zfE, ltE, ultE)
+                cond = sem.predicate.format(**flag_exprs())
                 emit(f"if not ({cond}):" if taken else f"if ({cond}):")
                 exit_block(4, other, f"_nb + {k + 1}",
                            current_ip=irx.addr)

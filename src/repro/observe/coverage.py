@@ -296,18 +296,16 @@ class SharedVirginMap:
 
     @classmethod
     def attach(cls, name: str) -> "SharedVirginMap":
-        """Open an existing map by name (worker side)."""
-        shm = shared_memory.SharedMemory(name=name)
-        # The master owns the segment's lifetime; stop this process's
-        # resource tracker from also unlinking it (and from warning
-        # about a "leak") at worker shutdown.
-        try:  # pragma: no cover - tracker internals vary by version
-            from multiprocessing import resource_tracker
+        """Open an existing map by name (worker side).
 
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-        return cls(shm, owner=False)
+        Pool workers share the master's resource tracker, so opening
+        the segment only re-registers a name it already holds.  Workers
+        must not unregister it: that would drop the master's entry, so
+        the master's ``unlink`` would make the tracker report a
+        ``KeyError`` and a master that dies mid-campaign would leak the
+        segment.
+        """
+        return cls(shared_memory.SharedMemory(name=name), owner=False)
 
     def publish(self, virgin: bytearray) -> None:
         """Overwrite the shared bytes with the master's map."""

@@ -15,9 +15,11 @@ shipped) and produces a sandboxed object:
 * every ``load``/``store``/``loadb``/``storeb`` is preceded by a guard
   that computes the effective address, masks it to the low 20 bits,
   and rebases it into the module's 1 MiB data sandbox;
-* every write to SP is followed by the same mask-and-rebase, so the
-  stack can never leave the sandbox (pushes/calls are then safe
-  without per-op guards);
+* every instruction that sets SP (any whose decoded-IR ``writes``
+  include SP, ``lea sp``/``load sp`` as much as ``mov sp``) is followed
+  by the same mask-and-rebase, so the stack can never leave the
+  sandbox (the implicit 4-byte steps of push/pop/call/ret are then
+  safe without per-op guards);
 * indirect jumps/calls are masked into the module's code region;
 * ``ret`` is rewritten to pop the return target and either (a) take
   the dedicated trusted exit stub address verbatim, or (b) mask it
@@ -26,6 +28,8 @@ shipped) and produces a sandboxed object:
 * ``sys`` is replaced with ``halt``: sandboxed code gets no direct
   platform access.
 
+Every rule reads the decoded IR (:mod:`repro.machine.ir`): its memory
+opcode sets, control kinds and register def sets, never mnemonics.
 The guards use r6/r7 as dedicated scratch registers (a register
 reservation, as real SFI ABIs make).  Because the assembler emits
 relocations for *every* label reference, the rewriter can expand
@@ -41,8 +45,17 @@ from repro.errors import DecodeError, LinkError
 from repro.isa import build
 from repro.isa.encoding import decode, encode
 from repro.isa.instructions import Instruction, Mem
+from repro.isa.opcodes import OperandFormat
 from repro.isa.registers import R6, R7, SP
 from repro.link.objfile import ObjectFile, Relocation, Symbol, TEXT
+from repro.machine.ir import (
+    LOAD_STORE_OPCODES,
+    MEMORY_OPCODES,
+    STORE_OPCODES,
+    ControlKind,
+    IRInst,
+    lift,
+)
 
 #: Sandbox size: low bits preserved by the mask.
 SANDBOX_MASK = 0xFFFFF  # 1 MiB
@@ -52,7 +65,22 @@ DATA_BASE_SYMBOL = "__sfi_sandbox"
 TEXT_BASE_SYMBOL = "__sfi_text"
 EXIT_SYMBOL = "__sfi_exit"
 
-_MEM_OPS = {"load", "store", "loadb", "storeb"}
+#: Transfers whose only SP write is the implicit 4-byte step.
+_STACK_STEP_KINDS = (ControlKind.CALL, ControlKind.CALL_REG, ControlKind.RET)
+
+
+def _sets_sp(irx: IRInst) -> bool:
+    """Does ``irx`` point SP somewhere new?
+
+    The IR counts the implicit 4-byte step of push/pop/call/ret as an
+    SP write; that step stays unguarded.  A memory instruction sets SP
+    only by loading into it (``load sp``, ``pop sp``).
+    """
+    if SP not in irx.writes:
+        return False
+    if irx.opcode in MEMORY_OPCODES:
+        return irx.opcode not in STORE_OPCODES and irx.operands[0] == SP
+    return irx.kind not in _STACK_STEP_KINDS
 
 
 @dataclass
@@ -168,48 +196,20 @@ class SFIRewriter:
         extra_symbols: list,
         emitted_base: int,
     ) -> list[_Emitted]:
-        mnemonic = insn.mnemonic
+        irx = lift(insn, 0)
 
-        def passthrough() -> list[_Emitted]:
-            item = _Emitted(insn)
-            if original_reloc is not None:
-                item.reloc_symbol = original_reloc.symbol
-                item.reloc_addend = original_reloc.addend
-                # imm32 position within this encoding:
-                from repro.isa.opcodes import OperandFormat
-
-                item.reloc_imm_offset = 1 if insn.fmt is OperandFormat.IMM32 else 2
-            return [item]
-
-        if mnemonic == "sys":
+        if irx.kind is ControlKind.SYS:
             # No direct platform access from the sandbox.
             return [_Emitted(build.halt())]
 
-        if mnemonic in _MEM_OPS:
-            reg, mem = insn.operands
-            guarded: list[_Emitted] = [
-                _Emitted(build.mov_rr(R6, mem.base)),
-                _Emitted(build.add_ri(R6, mem.disp)),
-                *_mask_into(DATA_BASE_SYMBOL),
-            ]
-            replacement = {
-                "load": build.load, "store": build.store,
-                "loadb": build.loadb, "storeb": build.storeb,
-            }[mnemonic](reg, Mem(R6, 0))
-            guarded.append(_Emitted(replacement))
-            return guarded
-
-        from repro.isa.opcodes import OperandFormat
-
-        if mnemonic in ("jmp", "call") and insn.fmt is OperandFormat.REG:
+        if irx.kind in (ControlKind.JUMP_REG, ControlKind.CALL_REG):
             (reg,) = insn.operands
             out = [_Emitted(build.mov_rr(R6, reg))]
             out += _mask_into(TEXT_BASE_SYMBOL)
-            transfer = build.jmp_reg(R6) if mnemonic == "jmp" else build.call_reg(R6)
-            out.append(_Emitted(transfer))
+            out.append(_Emitted(Instruction(insn.opcode, (R6,))))
             return out
 
-        if mnemonic == "ret":
+        if irx.kind is ControlKind.RET:
             # pop target; allow the exact trusted exit; else mask into
             # the sandbox's own code.
             skip = self._fresh_label()
@@ -225,14 +225,24 @@ class SFIRewriter:
             out.append(_Emitted(build.jmp_reg(R6)))
             return out
 
-        result = passthrough()
-        # Any instruction that may move SP gets a confinement suffix.
-        writes_sp = (
-            (mnemonic in ("mov", "add", "sub") and insn.operands
-             and insn.operands[0] == SP)
-            or (mnemonic == "pop" and insn.operands[0] == SP)
-        )
-        if writes_sp:
+        if irx.opcode in LOAD_STORE_OPCODES:
+            reg, mem = insn.operands
+            result = [
+                _Emitted(build.mov_rr(R6, mem.base)),
+                _Emitted(build.add_ri(R6, mem.disp)),
+                *_mask_into(DATA_BASE_SYMBOL),
+                _Emitted(Instruction(insn.opcode, (reg, Mem(R6, 0)))),
+            ]
+        else:
+            item = _Emitted(insn)
+            if original_reloc is not None:
+                item.reloc_symbol = original_reloc.symbol
+                item.reloc_addend = original_reloc.addend
+                # imm32 position within this encoding:
+                item.reloc_imm_offset = 1 if insn.fmt is OperandFormat.IMM32 else 2
+            result = [item]
+        # Any instruction that sets SP gets a confinement suffix.
+        if _sets_sp(irx):
             result += [
                 _Emitted(build.mov_rr(R6, SP)),
                 *_mask_into(DATA_BASE_SYMBOL),

@@ -18,7 +18,11 @@ Four proof obligations:
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -428,6 +432,27 @@ class TestSharedVirginMap:
                 worker.close()
         finally:
             shared.close()
+
+    def test_master_keeps_its_tracker_registration(self):
+        """Workers attaching the map must not unregister the master's
+        segment: the master's unlink would then make the shared
+        resource tracker print a KeyError, and a master dying
+        mid-campaign would leak the segment."""
+        code = (
+            "from repro.analysis.greybox import GreyboxFuzzer, VictimFactory\n"
+            "from repro.mitigations.config import TESTING\n"
+            "GreyboxFuzzer(VictimFactory('fig1_staged', TESTING), seed=5,"
+            " jobs=2).run(max_execs=200, minimize=False)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        # Reading stderr to EOF also waits for the tracker, which
+        # inherits the pipe, so its shutdown report is in by then.
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "KeyError" not in done.stderr
 
     def test_overlay_filters_repeat_coverage(self):
         """A run whose every bucket is already in the worker overlay

@@ -4,23 +4,37 @@ The IR's def/use and control metadata drive both translation tiers:
 the superblock builder consumes ``ends_block``/``lift_block`` and the
 trace compiler consumes register effects and FLAGS liveness.  A wrong
 ``reads``/``writes`` set silently miscompiles, so the effects are
-pinned per instruction class here.
+pinned per instruction class here.  Both tiers also render their
+arithmetic, compares and branches from ``ir.SEMANTICS``; the table is
+checked here against ``cpu.py``'s hand-written handlers, the reference
+every differential suite compares the tiers with.
 """
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import DivisionFault
 from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
-from repro.machine import Machine, MachineConfig
+from repro.isa.instructions import Instruction, to_signed
+from repro.isa.opcodes import OPCODE_SPECS, OperandFormat
+from repro.machine import CPU, Machine, MachineConfig
+from repro.machine.cpu import _DISPATCH
 from repro.machine.ir import (
     BRANCH_FLAGS_READ,
     COMPARE_FLAGS,
     ControlKind,
+    MEMORY_OPCODES,
     RESULT_FLAGS,
+    SEMANTICS,
+    evaluate,
     lift,
     lift_at,
     lift_block,
+    operands,
 )
 from repro.machine.memory import PERM_RWX
 
@@ -66,6 +80,26 @@ class TestRegisterEffects:
         irx = lift_one(build.add_rr(R0, R1))
         assert irx.reads == {R0, R1}
         assert irx.writes == {R0}
+
+    def test_alu_ri_and_unary_read_and_write_dest(self):
+        for insn in (build.add_ri(R2, 5), build.shl(R2, 3), build.not_r(R2)):
+            irx = lift_one(insn)
+            assert irx.reads == {R2}
+            assert irx.writes == {R2}
+
+    def test_cmp_reads_operands_writes_none(self):
+        assert lift_one(build.cmp_rr(R0, R1)).reads == {R0, R1}
+        assert lift_one(build.cmp_ri(R0, 5)).reads == {R0}
+        assert lift_one(build.cmp_ri(R0, 5)).writes == frozenset()
+
+    def test_lea_reads_base_writes_dest(self):
+        irx = lift_one(build.lea(R0, Mem(R1, -8)))
+        assert irx.reads == {R1}
+        assert irx.writes == {R0}
+
+    def test_branch_touches_no_registers(self):
+        irx = lift_one(build.jle(0x2000))
+        assert irx.reads == irx.writes == frozenset()
 
     def test_call_touches_sp(self):
         irx = lift_one(build.call_abs(0x2000))
@@ -158,3 +192,115 @@ class TestLiftingFromMemory:
         machine = self.machine([build.nop()] * 32 + [build.halt()])
         insns = lift_block(machine.memory, CODE, 8, set())
         assert len(insns) == 8
+
+
+# -- the semantics table against the hand-written reference (cpu.py) -------
+
+BOUNDARY = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+U32 = st.one_of(st.sampled_from(BOUNDARY), st.integers(0, 0xFFFFFFFF))
+#: Opcodes whose table entry computes a result or FLAGS.
+COMPUTING = sorted(op for op, sem in SEMANTICS.items()
+                   if sem.result is not None or sem.flags)
+BRANCHES = sorted(BRANCH_FLAGS_READ)
+
+
+def sample_insn(opcode: int, y: int = 5) -> Instruction:
+    """``opcode`` with destination/first register R1, source or base
+    register R2, and immediate/displacement derived from ``y``."""
+    fmt = OPCODE_SPECS[opcode].fmt
+    return Instruction(opcode, {
+        OperandFormat.NONE: (),
+        OperandFormat.REG: (R1,),
+        OperandFormat.REGREG: (R1, R2),
+        OperandFormat.REGIMM32: (R1, y),
+        OperandFormat.REGIMM8: (R1, y & 0xFF),
+        OperandFormat.REGMEM: (R1, Mem(R2, to_signed(y))),
+        OperandFormat.IMM32: (y,),
+        OperandFormat.IMM8: (y & 0xFF,),
+    }[fmt])
+
+
+def check_against_cpu(opcode: int, x: int, y: int) -> None:
+    """Run ``opcode`` on the reference CPU with register operand ``a``
+    = x and ``b`` = y (register or immediate), and evaluate its table
+    entry on the same operands: result and every flag must agree."""
+    sem = SEMANTICS[opcode]
+    insn = sample_insn(opcode, y)
+    irx = lift(insn, CODE)
+    a, b_reg, imm = operands(irx)
+    cpu = CPU()
+    cpu.regs[a] = x
+    b = imm
+    if b_reg is not None:
+        cpu.regs[b_reg] = b = y
+    before = {"zf": True, "lt": False, "ult": True}
+    for name, value in before.items():
+        setattr(cpu, name, value)
+    dst_before = cpu.regs[insn.operands[0]]
+    if irx.can_fault and b == 0:  # div / mod by zero
+        with pytest.raises(DivisionFault):
+            _DISPATCH[opcode](cpu, insn, None)
+        with pytest.raises(DivisionFault):
+            evaluate(sem.result, a=x, b=b)
+        return
+    _DISPATCH[opcode](cpu, insn, None)
+    values = {"a": x, "b": b}
+    if sem.result is None:
+        assert cpu.regs[insn.operands[0]] == dst_before
+    else:
+        result = evaluate(sem.result, **values)
+        assert cpu.regs[insn.operands[0]] == result
+        values["r"] = result
+        if sem.linear is not None:
+            ka, kb = sem.linear
+            assert result == (ka * x + kb * b) & 0xFFFFFFFF
+    for name in ("zf", "lt", "ult"):
+        expected = (evaluate(sem.flags[name], **values)
+                    if name in sem.flags else before[name])
+        assert getattr(cpu, name) == expected, name
+
+
+class TestSemanticsTable:
+    @pytest.mark.parametrize("opcode", COMPUTING)
+    def test_boundary_operands_match_cpu(self, opcode):
+        for x, y in itertools.product(BOUNDARY, repeat=2):
+            check_against_cpu(opcode, x, y)
+
+    @pytest.mark.parametrize("opcode", COMPUTING)
+    @settings(max_examples=60, deadline=None)
+    @given(x=U32, y=U32)
+    def test_drawn_operands_match_cpu(self, opcode, x, y):
+        check_against_cpu(opcode, x, y)
+
+    @pytest.mark.parametrize("opcode", [0x0F, 0x10])
+    def test_division_by_zero_faults_on_both_sides(self, opcode):
+        cpu = CPU()
+        cpu.regs[R1] = 7
+        with pytest.raises(DivisionFault):
+            _DISPATCH[opcode](cpu, sample_insn(opcode), None)
+        with pytest.raises(DivisionFault):
+            evaluate(SEMANTICS[opcode].result, a=7, b=0)
+
+    @pytest.mark.parametrize("opcode", BRANCHES)
+    def test_branch_predicates_match_cpu(self, opcode):
+        for zf, lt, ult in itertools.product((False, True), repeat=3):
+            cpu = CPU()
+            cpu.ip = CODE
+            cpu.zf, cpu.lt, cpu.ult = zf, lt, ult
+            _DISPATCH[opcode](cpu, sample_insn(opcode, 0x2000), None)
+            taken = evaluate(SEMANTICS[opcode].predicate,
+                             zf=zf, lt=lt, ult=ult)
+            assert (cpu.ip == 0x2000) == taken, (zf, lt, ult)
+
+    def test_every_opcode_has_semantics_or_needs_none(self):
+        """A new opcode cannot reach the translators without semantics:
+        it is in the table, or the IR lifts it as a memory, control or
+        no-op instruction (no register or FLAGS effect)."""
+        for opcode, spec in enumerate(OPCODE_SPECS):
+            if spec is None:
+                continue
+            irx = lift(sample_insn(opcode), CODE)
+            assert (opcode in SEMANTICS
+                    or opcode in MEMORY_OPCODES
+                    or irx.kind is not ControlKind.FALL
+                    or not (irx.writes or irx.flags_written)), spec

@@ -181,3 +181,76 @@ class TestSandboxBehaviour:
         modules, but modules are not protected against the host'."""
         report = asymmetry_report()
         assert report["host_reads_sandbox_data"]
+
+#: SP escapes through instructions a mnemonic list of SP writers missed:
+#: point SP just above the host's secret, then push over it.
+SP_ESCAPE_LEA = """
+.text
+.global sandbox_main
+sandbox_main:
+    mov r2, sp             ; remember the sandbox stack
+    mov r1, 0x{secret:x}
+    lea sp, [r1+4]         ; SP just above the host's secret
+    mov r0, 0xbad
+    push r0                ; lands on host_secret
+    mov sp, r2
+    mov r0, 1
+    ret
+"""
+
+SP_ESCAPE_LOAD = """
+.text
+.global sandbox_main
+sandbox_main:
+    mov r2, sp             ; remember the sandbox stack
+    mov r1, 0x{secret:x}
+    add r1, 4
+    push r1
+    load sp, [sp+0]        ; SP just above the host's secret
+    mov r0, 0xbad
+    push r0                ; lands on host_secret
+    mov sp, r2
+    mov r0, 1
+    ret
+"""
+
+
+class TestStackPointerConfinement:
+    """Every instruction that sets SP is confined, whatever its mnemonic."""
+
+    def _run(self, template: str, *, rewrite: bool):
+        study = build_sfi_program(
+            assemble(template.format(secret=0), "sandbox"), rewrite=rewrite)
+        secret = study.image.symbol("host:host_secret")
+        program = build_sfi_program(
+            assemble(template.format(secret=secret), "sandbox"),
+            rewrite=rewrite,
+        )
+        result = program.run()
+        return result, program.machine.memory.read_word(secret)
+
+    @pytest.mark.parametrize("template", [SP_ESCAPE_LEA, SP_ESCAPE_LOAD],
+                             ids=["lea-sp", "load-sp"])
+    def test_escape_succeeds_raw(self, template):
+        result, secret = self._run(template, rewrite=False)
+        assert secret == 0xBAD
+        assert result.output.split()[1] == b"2989"
+
+    @pytest.mark.parametrize("template", [SP_ESCAPE_LEA, SP_ESCAPE_LOAD],
+                             ids=["lea-sp", "load-sp"])
+    def test_escape_contained(self, template):
+        result, secret = self._run(template, rewrite=True)
+        assert secret == 99119911
+        assert result.output.split()[1] == b"99119911"
+
+    def test_implicit_stack_steps_stay_unguarded(self):
+        """push/pop/call/ret only step SP by 4: no confinement suffix,
+        so compiled MinC rewrites to the same bytes as before."""
+        obj = sfi_rewrite(assemble(
+            ".text\nf: push sp\npop r1\ncall f\nnop\n", "sandbox"))
+        mnemonics = [insn.mnemonic
+                     for _, insn in decode_all(bytes(obj.text.data))]
+        assert mnemonics == ["push", "pop", "call", "nop"]
+        popped = sfi_rewrite(assemble(".text\nf: pop sp\n", "sandbox"))
+        assert "and" in [insn.mnemonic for _, insn
+                         in decode_all(bytes(popped.text.data))]
