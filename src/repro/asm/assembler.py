@@ -183,7 +183,7 @@ def _parse_operand(token: str, line: int) -> _Operand:
             raise AssemblerError(f"bad base register {base_token!r}", line)
         disp = 0
         if disp_token is not None:
-            disp = int(disp_token, 0)
+            disp = _parse_int(disp_token)
             if sign == "-":
                 disp = -disp
         return _Operand("mem", mem=Mem(register_number(base_token), disp))
@@ -196,7 +196,7 @@ def _parse_operand(token: str, line: int) -> _Operand:
         name, sign, off = sym_match.groups()
         addend = 0
         if off is not None:
-            addend = int(off, 0)
+            addend = _parse_int(off)
             if sign == "-":
                 addend = -addend
         return _Operand("sym", symbol=name, addend=addend)

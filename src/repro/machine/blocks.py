@@ -28,17 +28,17 @@ exploit's machine state is part of the semantics):
   The shared ``except`` handler writes flags/IP/count back before
   re-raising, so a fault mid-block leaves the machine byte-identical
   to the interpreter faulting on the same instruction.
-* **Memory accesses stay policy-checked.**  On machines with no PMA
-  modules and no red zones, loads/stores inline the one fast-path
-  legality test every tier shares -- membership of the page in
-  ``Memory._fast_read``/``_fast_write`` -- and fall back to the
-  machine's checked accessor for anything unusual -- page straddles,
-  permission denials (which kernel mode may still allow), unmapped
-  pages, writes to watched code pages, and writes to snapshot-frozen
-  pages (whose copy-on-write break must run before bytes move) -- so
-  every fault message, kernel-mode bypass, copy-on-write break, and
-  invalidation notification is the interpreter's own.  With PMA or red
-  zones active the generated code always calls the checked accessors.
+* **Memory accesses stay policy-checked.**  Loads/stores inline the
+  fast-path test ``Machine.read_word`` & co. use -- page in
+  ``Memory._fast_read``/``_fast_write``, and with red zones no poisoned
+  byte under the access (``_redzones`` and its page index, read at
+  block entry since ``restore`` rebinds them) -- and fall back to the
+  checked accessor for anything else: page straddles, permission
+  denials (which kernel mode may still allow), unmapped pages, poisoned
+  bytes, and writes to watched code pages or snapshot-frozen pages
+  (whose copy-on-write break must run first) -- so every fault and
+  side effect is the interpreter's own.  PMA blocks, and red-zoned
+  blocks until the machine takes a snapshot, always call the accessors.
 * **One semantics table.**  ALU results, compare flags and branch
   predicates are rendered from :data:`repro.machine.ir.SEMANTICS`, the
   same templates the trace compiler uses.
@@ -170,8 +170,14 @@ def compile_block(machine, head: int) -> CompiledBlock | None:
                        entry_points)
     if not insns:
         return None
-    inline_mem = not pma_active and not machine.config.redzones
-    source, exit_targets = _emit(insns, masked, pma_active, inline_mem, hub)
+    redzones = machine.config.redzones
+    # Red-zoned blocks inline memory only on a snapshotting machine (a
+    # fork server, running each block once per trial): inlining doubles
+    # their compile time, which one-shot ASan runs -- most blocks
+    # executing once or twice -- never earn back.
+    inline_mem = not pma_active and (not redzones or memory._snap_counter > 0)
+    source, exit_targets = _emit(insns, masked, pma_active, inline_mem,
+                                 redzones, hub)
     cells = [[None] for _ in exit_targets]
     namespace = {"_MF": MachineFault, "_u32": _U32, **TEMPLATE_HELPERS}
     if hub is not None:
@@ -187,7 +193,8 @@ def compile_block(machine, head: int) -> CompiledBlock | None:
 
 
 def _emit(insns: list[IRInst], head: int, pma_active: bool,
-          inline_mem: bool, hub=None) -> tuple[str, list[int]]:
+          inline_mem: bool, redzones: bool,
+          hub=None) -> tuple[str, list[int]]:
     """Generate the block function source and its static-exit targets.
 
     With a (dispatch-transparent) ``hub``, transfer and fault event
@@ -235,6 +242,9 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
         # Stable aliases: these containers are mutated, never replaced.
         lines.append("    _mem = m.memory._pages; _fr = m.memory._fast_read; "
                      "_fw = m.memory._fast_write")
+        if redzones:
+            # Read per entry: ``Machine.restore`` rebinds both.
+            lines.append("    _rz = m._redzones; _rzp = m._redzone_pages")
     if pma_active:
         lines.append("    _cf = m.pma.check_fetch")
     lines.append("    try:")
@@ -243,6 +253,15 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
     def address(mem) -> str:
         return EFFECTIVE_ADDRESS.format(
             **fields(a=f"regs[{mem.base}]", b=mem.disp))
+
+    def unpoisoned(addr: str, size: int, page: str = "") -> str:
+        # Machine.read_word & co.'s red-zone test ("" without red zones).
+        if not redzones:
+            return ""
+        if size == 1:
+            return f" and {addr} not in _rz"
+        probes = "".join(f" or {addr} + {i} in _rz" for i in (1, 2, 3))
+        return f" and ({page} not in _rzp or not ({addr} in _rz{probes}))"
 
     def set_flags(sem, f: dict) -> None:
         emit("        " + "; ".join(f"{name} = {template.format(**f)}"
@@ -294,11 +313,12 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
                 return
             if size == 4:
                 emit(f"        _o = {addr} & 4095")
-                emit(f"        if _o <= 4092 and {addr} >> 12 in _fr:")
+                emit(f"        if _o <= 4092 and {addr} >> 12 in _fr"
+                     f"{unpoisoned(addr, 4, f'{addr} >> 12')}:")
                 emit(f"            {dst} = _u32.unpack_from("
                      f"_mem[{addr} >> 12], _o)[0]")
             else:
-                emit(f"        if {addr} >> 12 in _fr:")
+                emit(f"        if {addr} >> 12 in _fr{unpoisoned(addr, 1)}:")
                 emit(f"            {dst} = _mem[{addr} >> 12][{addr} & 4095]")
             if ev_read:
                 emit(f"            m.current_ip = {ip}")
@@ -318,11 +338,12 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
                 return
             if size == 4:
                 emit(f"        _o = {addr} & 4095; _pn = {addr} >> 12")
-                emit("        if _o <= 4092 and _pn in _fw:")
+                emit(f"        if _o <= 4092 and _pn in _fw"
+                     f"{unpoisoned(addr, 4, '_pn')}:")
                 emit(f"            _u32.pack_into(_mem[_pn], _o, {value})")
             else:
                 emit(f"        _pn = {addr} >> 12")
-                emit("        if _pn in _fw:")
+                emit(f"        if _pn in _fw{unpoisoned(addr, 1)}:")
                 emit(f"            _mem[_pn][{addr} & 4095] = {value}")
             if ev_write:
                 emit(f"            m.current_ip = {ip}")

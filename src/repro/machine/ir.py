@@ -34,8 +34,8 @@ Note the fault-capability flag describes the *baseline* machine: with
 protected modules (PMA) registered, every instruction can additionally
 fault at fetch time, and with red zones every data access gains a
 poison check.  Those are machine-wide modes the consumers account for
-themselves (blocks embed the PMA fetch check; the trace JIT refuses to
-trace under either).
+themselves (blocks embed the PMA fetch check and, once a snapshot is
+taken, the red-zone test; the trace JIT refuses to trace under either).
 """
 
 from __future__ import annotations

@@ -621,10 +621,9 @@ class Machine:
     # identical fault text) for everything else: every deny, so kernel
     # mode and error messages stay in exactly one place, and every
     # write to a snapshot-shared or watched page, whose copy-on-write
-    # break and code-write notification live in ``Memory``.  Campaign
-    # workloads are dominated by these accessors: the ASan-instrumented
-    # fuzzing victims spend about half their instructions on stack
-    # traffic that lands here.
+    # break and code-write notification live in ``Memory``.  Superblocks
+    # inline the same test (``blocks.py``), and the observed twins below
+    # call these accessors, so monitored machines share the fast path.
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         self._check(AccessKind.READ, addr, size)
@@ -694,67 +693,45 @@ class Machine:
 
     # -- observed memory access -------------------------------------------------
     #
-    # Event-emitting twins of the checked accessors above.  They are
+    # Event-emitting twins of the checked accessors above: each runs the
+    # class accessor, fast path included, then emits.  They are
     # installed as *instance* attributes by _sync_memory_accessors only
-    # while some observer subscribes to read/write events; otherwise
-    # the plain class methods run and the unobserved path pays nothing.
+    # while some observer subscribes to read/write events (so the hub is
+    # set whenever they run); otherwise the plain class methods run and
+    # the unobserved path pays nothing.
 
     def _read_bytes_observed(self, addr: int, size: int) -> bytes:
-        self._check(AccessKind.READ, addr, size)
-        data = self.memory.read_bytes(addr, size)
-        hub = self._observers
-        if hub is not None and hub.read:
-            masked = addr & WORD_MASK
-            for observer in hub.read:
-                observer.on_read(self, masked, size, data)
+        data = Machine.read_bytes(self, addr, size)
+        for observer in self._observers.read:
+            observer.on_read(self, addr & WORD_MASK, size, data)
         return data
 
     def _write_bytes_observed(self, addr: int, data: bytes) -> None:
-        self._check(AccessKind.WRITE, addr, len(data))
-        self.memory.write_bytes(addr, data)
-        hub = self._observers
-        if hub is not None and hub.write:
-            masked = addr & WORD_MASK
-            for observer in hub.write:
-                observer.on_write(self, masked, len(data), data)
+        Machine.write_bytes(self, addr, data)
+        for observer in self._observers.write:
+            observer.on_write(self, addr & WORD_MASK, len(data), data)
 
     def _read_word_observed(self, addr: int) -> int:
-        self._check(AccessKind.READ, addr, 4)
-        value = self.memory.read_word(addr)
-        hub = self._observers
-        if hub is not None and hub.read:
-            masked = addr & WORD_MASK
-            for observer in hub.read:
-                observer.on_read(self, masked, 4, value)
+        value = Machine.read_word(self, addr)
+        for observer in self._observers.read:
+            observer.on_read(self, addr & WORD_MASK, 4, value)
         return value
 
     def _write_word_observed(self, addr: int, value: int) -> None:
-        self._check(AccessKind.WRITE, addr, 4)
-        self.memory.write_word(addr, value)
-        hub = self._observers
-        if hub is not None and hub.write:
-            masked = addr & WORD_MASK
-            for observer in hub.write:
-                observer.on_write(self, masked, 4, value & WORD_MASK)
+        Machine.write_word(self, addr, value)
+        for observer in self._observers.write:
+            observer.on_write(self, addr & WORD_MASK, 4, value & WORD_MASK)
 
     def _read_byte_observed(self, addr: int) -> int:
-        self._check(AccessKind.READ, addr, 1)
-        value = self.memory.read_byte(addr)
-        hub = self._observers
-        if hub is not None and hub.read:
-            masked = addr & WORD_MASK
-            for observer in hub.read:
-                observer.on_read(self, masked, 1, value)
+        value = Machine.read_byte(self, addr)
+        for observer in self._observers.read:
+            observer.on_read(self, addr & WORD_MASK, 1, value)
         return value
 
     def _write_byte_observed(self, addr: int, value: int) -> None:
-        self._check(AccessKind.WRITE, addr, 1)
-        self.memory.write_byte(addr, value)
-        hub = self._observers
-        if hub is not None and hub.write:
-            masked = addr & WORD_MASK
-            for observer in hub.write:
-                observer.on_write(self, masked, 1, value & 0xFF)
+        Machine.write_byte(self, addr, value)
+        for observer in self._observers.write:
+            observer.on_write(self, addr & WORD_MASK, 1, value & 0xFF)
 
     # -- stack helpers ----------------------------------------------------------
 

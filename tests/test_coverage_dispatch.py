@@ -13,19 +13,53 @@ are identical across
 * transparent superblock dispatch (the new default), and
 * transparent dispatch with the trace JIT enabled (traces stand down
   under a hub; blocks still serve hot code).
+
+The monitored ASan legs add the service's default campaign shape
+(``testing`` red zones, coverage, and the :class:`InvariantMonitor`)
+on victims whose red-zone hits come from scalar stores in compiled
+code: crash sites with ``first_breach``, breach timelines, and the
+full read/write event stream must match too.
 """
 
 from __future__ import annotations
+
+import struct
 
 import pytest
 
 from repro.analysis.greybox import SnapshotExecutor, VictimFactory, outcome_of
 from repro.mitigations.config import TESTING
 from repro.observe.coverage import CoverageObserver
+from repro.observe.events import Observer
 from tests.test_differential_cache import summarize
+from tests.test_invariants_differential import timeline_key
 
 GET_SMASH = b"GET " + b"A" * 32
 INPUTS = [b"", b"GET", b"GET \x01\x02", GET_SMASH, b"B" * 64]
+BODY = bytes(range(64))
+
+#: Probe inputs per victim.  ``arbitrary_write`` reads a write count,
+#: then (index, value) pairs; ``arr[4]`` and ``arr[-1]`` land in the
+#: red zones around ``int arr[4]`` through a scalar store in compiled
+#: code.  ``fig1_parsing`` overflows in ``handle_request`` after its
+#: checksum loop.
+VICTIM_INPUTS = {
+    "fig1_staged": INPUTS,
+    "arbitrary_write": [
+        b"",
+        struct.pack("<3i", 1, 2, 7),
+        struct.pack("<3i", 1, 4, 0x41414141),
+        struct.pack("<3i", 1, -1, 0x41414141),
+        struct.pack("<5i", 2, 1, 5, 4, 9),
+    ],
+    "fig1_parsing": [
+        b"",
+        b"GE",
+        b"POST" + BODY,
+        b"GET " + BODY + b"A" * 8,
+        b"GET " + BODY + b"A" * 40,
+    ],
+}
 
 
 class SteppedCoverageObserver(CoverageObserver):
@@ -35,30 +69,60 @@ class SteppedCoverageObserver(CoverageObserver):
     dispatch_transparent = False
 
 
-def executor_with(observer, *, block_cache: bool = True,
+class MemoryEventRecorder(Observer):
+    """Every read/write event with the IP the machine reports at that
+    moment; dispatch-transparent, so it rides whatever leg runs."""
+
+    dispatch_transparent = True
+
+    def __init__(self) -> None:
+        self.events: list[tuple] = []
+
+    def on_read(self, machine, addr, size, value) -> None:
+        self.events.append(("read", addr, size, value, machine.current_ip))
+
+    def on_write(self, machine, addr, size, value) -> None:
+        self.events.append(("write", addr, size, value, machine.current_ip))
+
+
+def executor_with(observer, victim: str = "fig1_staged",
+                  invariants: bool = False, *, block_cache: bool = True,
                   trace_jit: bool = False):
-    executor = SnapshotExecutor(VictimFactory("fig1_staged", TESTING),
-                                observer=observer)
+    executor = SnapshotExecutor(VictimFactory(victim, TESTING),
+                                observer=observer, invariants=invariants)
     executor.machine.config.block_cache = block_cache
     executor.machine.config.trace_jit = trace_jit
     return executor
 
 
-def leg(observer_cls, **config):
-    """Run every probe input down one dispatch leg; return everything
-    observable about it."""
-    observer = observer_cls()
-    executor = executor_with(observer, **config)
+def digest_inputs(executor, recorder: MemoryEventRecorder,
+                  inputs: list[bytes]) -> list[tuple]:
+    """Run each input; return everything observable about each run."""
+    observer = executor.observer
     digest = []
-    for data in INPUTS:
+    for data in inputs:
+        recorder.events.clear()
         result = executor.run(data)
         digest.append((
             summarize(result),
             observer.snapshot_counts(),
             observer.edge_items(),
-            outcome_of(observer, result).crash_site,
+            outcome_of(observer, result, executor.monitor).crash_site,
+            timeline_key(executor.monitor),
+            tuple(recorder.events),
         ))
-    return executor, digest
+    return digest
+
+
+def leg(observer_cls, victim: str = "fig1_staged", invariants: bool = False,
+        **config):
+    """Run every probe input of ``victim`` down one dispatch leg, with
+    or without the invariant monitor; return everything observable
+    about it."""
+    executor = executor_with(observer_cls(), victim, invariants, **config)
+    recorder = MemoryEventRecorder()
+    executor.machine.attach_observer(recorder)
+    return executor, digest_inputs(executor, recorder, VICTIM_INPUTS[victim])
 
 
 class TestTransparency:
@@ -102,16 +166,50 @@ class TestDifferential:
     def test_restores_keep_legs_identical(self, stepped):
         """Interleaved restores (the fuzzing access pattern) must not
         desynchronize the transparent leg from the stepped one."""
-        observer = CoverageObserver()
-        executor = executor_with(observer)
+        executor = executor_with(CoverageObserver())
+        recorder = MemoryEventRecorder()
+        executor.machine.attach_observer(recorder)
         for _ in range(2):
-            digest = []
-            for data in INPUTS:
-                result = executor.run(data)
-                digest.append((
-                    summarize(result),
-                    observer.snapshot_counts(),
-                    observer.edge_items(),
-                    outcome_of(observer, result).crash_site,
-                ))
-            assert digest == stepped
+            assert digest_inputs(executor, recorder, INPUTS) == stepped
+
+
+#: Victim x invariant-monitor cases beyond TestDifferential's
+#: coverage-only fig1_staged.
+MONITORED_CASES = [
+    (victim, invariants)
+    for victim in VICTIM_INPUTS for invariants in (False, True)
+    if (victim, invariants) != ("fig1_staged", False)
+]
+
+#: The transparent legs, as executor config.
+TRANSPARENT_LEGS = {
+    "interp": {"block_cache": False},
+    "block": {"block_cache": True},
+    "trace": {"block_cache": True, "trace_jit": True},
+}
+
+
+class TestMonitoredAsanDifferential:
+    """``testing`` red zones with coverage and, optionally, the
+    invariant monitor: every leg matches per-instruction stepping."""
+
+    @pytest.mark.parametrize("victim, invariants", MONITORED_CASES)
+    def test_every_leg_matches_stepped(self, victim, invariants):
+        stepped = leg(SteppedCoverageObserver, victim, invariants)[1]
+        for name, config in TRANSPARENT_LEGS.items():
+            assert leg(CoverageObserver, victim, invariants,
+                       **config)[1] == stepped, name
+
+    @pytest.mark.parametrize("invariants", [False, True])
+    def test_scalar_stores_hit_red_zones(self, invariants):
+        # The cases above must really exercise compiled red-zone
+        # checks: arr[4] and arr[-1] fault in main's store, and the
+        # monitor names the red zone as the first breach.
+        _, digest = leg(CoverageObserver, "arbitrary_write", invariants)
+        sites = [entry[3] for entry in digest]
+        assert [site and site.fault for site in sites] == [
+            None, None, "RedZoneFault", "RedZoneFault", "RedZoneFault"]
+        assert len({site.ip for site in sites if site}) == 1
+        breach = "red-zone" if invariants else None
+        assert {site.first_breach for site in sites if site} == {breach}
+

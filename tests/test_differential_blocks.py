@@ -21,10 +21,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
+from repro.isa import Mem, R0, R1, R2, R3, SP, build, encode_many
 from repro.isa.instructions import Instruction
 from repro.machine import Machine, MachineConfig, RunResult
 from repro.machine import machine as machine_module
+from repro.machine.blocks import compile_block
 from repro.machine.memory import PERM_RW, PERM_RWX
 from repro.mitigations import DEP, NONE
 
@@ -63,15 +64,26 @@ def summarize(result: RunResult) -> tuple:
     )
 
 
-def run_one(program: bytes, block: bool, max_instructions: int = 3_000) -> tuple:
-    """Run ``program`` on a fresh machine; return its complete state."""
-    machine = Machine(MachineConfig(block_cache=block))
+def load_program(program: bytes, **config) -> Machine:
+    """A fresh machine with ``program`` at CODE and the seed registers."""
+    machine = Machine(MachineConfig(**config))
     machine.memory.map_region(CODE, 0x1000, PERM_RWX)
     machine.memory.map_region(DATA, 0x1000, PERM_RW)
     machine.memory.map_region(STACK_BASE, 0x10000, PERM_RW)
     machine.memory.write_bytes(CODE, program)
     machine.cpu.ip = CODE
     machine.cpu.regs[:] = SEED_REGS
+    return machine
+
+
+def run_one(program: bytes, block: bool, max_instructions: int = 3_000) -> tuple:
+    """Run ``program`` on a fresh machine; return its complete state."""
+    machine = load_program(program, block_cache=block)
+    return run_state(machine, max_instructions)
+
+
+def run_state(machine: Machine, max_instructions: int) -> tuple:
+    """Run ``machine``; return its complete state."""
     result = machine.run(max_instructions=max_instructions)
     return (
         summarize(result),
@@ -89,6 +101,46 @@ def run_one(program: bytes, block: bool, max_instructions: int = 3_000) -> tuple
 def assert_identical(program: bytes, max_instructions: int = 3_000) -> tuple:
     blocked = run_one(program, True, max_instructions)
     stepped = run_one(program, False, max_instructions)
+    assert blocked == stepped
+    return blocked
+
+
+#: Red zones laid before the first red-zoned run, as ``(addr, size)``.
+#: From the seed pointers and ``_DISP`` they put a poisoned byte under
+#: word accesses at every probe offset.
+EARLY_POISON = (
+    (DATA + 1, 1),          # single byte
+    (DATA + 0x7FD, 2),      # partial word at an unaligned address
+    (DATA + 0x802, 4),      # a run crossing a word boundary
+    (DATA + 0xFFF, 1),      # the last byte before a page boundary
+    (STACK_TOP, 1),         # the first byte after one
+)
+#: Red zones added after the restore, so blocks compiled during the
+#: first run meet the rebound ``Machine._redzones``/``_redzone_pages``.
+LATE_POISON = (
+    (STACK_TOP - 2, 1),     # the slot just below STACK_TOP: push hits it
+    (DATA + 0x80B, 1),      # the last byte of the word at DATA + 0x808
+)
+
+
+def run_redzoned(program: bytes, block: bool, early=EARLY_POISON,
+                 late=LATE_POISON, max_instructions: int = 3_000) -> tuple:
+    """Snapshot, run, restore, poison more, run again on a red-zoned
+    machine; return the state after each run."""
+    machine = load_program(program, block_cache=block, redzones=True)
+    for addr, size in early:
+        machine.poison(addr, size)
+    baseline = machine.snapshot()
+    first = run_state(machine, max_instructions)
+    machine.restore(baseline)
+    for addr, size in late:
+        machine.poison(addr, size)
+    return first, run_state(machine, max_instructions)
+
+
+def assert_identical_redzoned(program: bytes, **poison) -> tuple:
+    blocked = run_redzoned(program, True, **poison)
+    stepped = run_redzoned(program, False, **poison)
     assert blocked == stepped
     return blocked
 
@@ -199,7 +251,125 @@ class TestFuzzedPrograms:
         assert_identical(_assemble(slots), max_instructions=budget)
 
 
+class TestFuzzedRedZonedPrograms:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(_SLOT, min_size=1, max_size=40))
+    def test_random_program_identical(self, slots):
+        assert_identical_redzoned(_assemble(slots))
+
+
 # -- directed adversarial cases ----------------------------------------------
+
+def _exit_after(*insns: Instruction) -> bytes:
+    return encode_many([*insns, build.mov_ri(R0, 0), build.sys(3)])
+
+
+#: A word on DATA's page, away from the fuzz strategy's poison.
+WORD = DATA + 0x200
+
+
+def _red_zone_fault(state: tuple) -> str | None:
+    summary = state[0]
+    return summary[3] if summary[2] == "RedZoneFault" else None
+
+
+class TestRedZonedBlocks:
+    """The block tier's inline red-zone test against the interpreter's
+    ``_check``: every probed byte, both widths, and containers the
+    machine rebinds on restore.  A store takes the inline path only
+    once its page's copy-on-write break is done, so store cases write
+    the page first."""
+
+    @pytest.mark.parametrize("offset", range(4))
+    @pytest.mark.parametrize("access", ["load", "store"])
+    def test_word_access_probes_every_byte(self, access, offset):
+        touch = build.store(R0, Mem(R1, 0x40))
+        hit = (build.load(R0, Mem(R1, 0)) if access == "load"
+               else build.store(R0, Mem(R1, 0)))
+        program = _exit_after(build.mov_ri(R1, WORD), touch, hit)
+        first, second = assert_identical_redzoned(
+            program, early=((WORD + offset, 1),), late=())
+        fault = _red_zone_fault(first)
+        assert fault == _red_zone_fault(second)
+        assert f"0x{WORD + offset:08x} hit a red zone" in fault
+
+    @pytest.mark.parametrize("access", ["loadb", "storeb"])
+    def test_byte_access_probes_its_byte(self, access):
+        builder = getattr(build, access)
+        program = _exit_after(build.mov_ri(R1, WORD),
+                              build.storeb(R0, Mem(R1, 0x40)),
+                              builder(R0, Mem(R1, 1)),
+                              builder(R0, Mem(R1, 2)))
+        first, _ = assert_identical_redzoned(
+            program, early=((WORD + 2, 1),), late=())
+        kind = "read" if access == "loadb" else "write"
+        assert _red_zone_fault(first).startswith(
+            f"{kind} of 0x{WORD + 2:08x} hit a red zone")
+
+    @pytest.mark.parametrize("program", [
+        _exit_after(build.mov_ri(R1, STACK_TOP - 0x100),
+                    build.store(R0, Mem(R1, 0)), build.push(R0)),
+        _exit_after(build.mov_ri(SP, STACK_TOP - 4), build.pop(R0)),
+    ], ids=["push", "pop"])
+    def test_stack_slot_below_stack_top(self, program):
+        # SP starts at STACK_TOP; the slot just below it is poisoned
+        # after the restore, so the first run is clean and the second
+        # faults inside the block compiled by the first.
+        first, second = assert_identical_redzoned(
+            program, early=(), late=((STACK_TOP - 3, 1),))
+        assert _red_zone_fault(first) is None
+        assert f"0x{STACK_TOP - 3:08x} hit a red zone" in \
+            _red_zone_fault(second)
+
+    @pytest.mark.parametrize("addr, fault", [
+        (DATA + 0xFFC, True),       # the page's last word, last byte poisoned
+        (STACK_TOP, True),          # the next page's first word
+        (STACK_TOP - 4, False),     # the word before the boundary is clean
+    ])
+    def test_poison_next_to_a_page_boundary(self, addr, fault):
+        program = _exit_after(build.mov_ri(R1, addr),
+                              build.load(R0, Mem(R1, 0)),
+                              build.store(R0, Mem(R1, 0)))
+        first, _ = assert_identical_redzoned(
+            program, early=((DATA + 0xFFF, 1), (STACK_TOP, 1)), late=())
+        assert (_red_zone_fault(first) is not None) == fault
+
+    def test_inline_test_waits_for_a_snapshot(self):
+        # A one-shot red-zoned run calls the checked accessors: compiling
+        # the inline test costs more than a block run once or twice
+        # saves.  Blocks compiled once the machine snapshots inline it.
+        program = _exit_after(build.mov_ri(R1, WORD),
+                              build.load(R0, Mem(R1, 0)))
+        machine = load_program(program, redzones=True)
+        one_shot = compile_block(machine, CODE).source
+        machine.snapshot()
+        replaying = compile_block(machine, CODE).source
+        assert "m.read_word(_a)" in one_shot and "_rz" not in one_shot
+        assert "_a in _rz" in replaying
+
+    @pytest.mark.parametrize("access", ["load", "store"])
+    def test_block_compiled_before_restore_meets_new_poison(self, access):
+        # ``Machine.restore`` rebinds ``_redzones`` and
+        # ``_redzone_pages``; a block that kept the containers it saw
+        # at compile time would miss poison laid after the restore.
+        hit = (build.load(R0, Mem(R1, 0x80)) if access == "load"
+               else build.store(R0, Mem(R1, 0x80)))
+        program = _exit_after(build.mov_ri(R1, WORD),
+                              build.store(R0, Mem(R1, 0x40)), hit)
+        poison = (WORD + 0x82, 1)
+        machine = load_program(program, block_cache=True, redzones=True)
+        baseline = machine.snapshot()
+        run_state(machine, 3_000)
+        block = machine._block_cache[CODE]
+        machine.restore(baseline)
+        machine.poison(*poison)
+        blocked = run_state(machine, 3_000)
+        assert machine._block_cache[CODE] is block
+        assert blocked == run_redzoned(program, False, early=(),
+                                       late=(poison,))[1]
+        assert _red_zone_fault(blocked) is not None
+
+
 
 class TestSelfModifyingBlocks:
     def test_store_overwrites_own_block_tail(self):

@@ -284,3 +284,13 @@ class TestNearValidToolchainRobustness:
         for source in cases_asm:
             with pytest.raises(ReproError):
                 assemble(source, "fuzz")
+        # ValueError from int("010", 0): a leading-zero displacement or
+        # symbol addend reads as decimal, like every other immediate.
+        pairs_asm = [
+            (".text\n load r0, [r1+010]", ".text\n load r0, [r1+10]"),
+            (".text\n store [bp-010], r0", ".text\n store [bp-10], r0"),
+            (".text\nmain:\n mov r0, main+010",
+             ".text\nmain:\n mov r0, main+10"),
+        ]
+        for leading_zero, plain in pairs_asm:
+            assert assemble(leading_zero, "fuzz") == assemble(plain, "fuzz")
