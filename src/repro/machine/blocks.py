@@ -171,11 +171,9 @@ def compile_block(machine, head: int) -> CompiledBlock | None:
     if not insns:
         return None
     redzones = machine.config.redzones
-    # Red-zoned blocks inline memory only on a snapshotting machine (a
-    # fork server, running each block once per trial): inlining doubles
-    # their compile time, which one-shot ASan runs -- most blocks
-    # executing once or twice -- never earn back.
-    inline_mem = not pma_active and (not redzones or memory._snap_counter > 0)
+    # Red-zoned blocks inline memory only on a fork server: inlining doubles
+    # their compile time, which one-shot ASan runs never earn back.
+    inline_mem = not pma_active and (not redzones or memory.has_snapshot)
     source, exit_targets = _emit(insns, masked, pma_active, inline_mem,
                                  redzones, hub)
     cells = [[None] for _ in exit_targets]
@@ -192,9 +190,8 @@ def compile_block(machine, head: int) -> CompiledBlock | None:
                          source, exits)
 
 
-def _emit(insns: list[IRInst], head: int, pma_active: bool,
-          inline_mem: bool, redzones: bool,
-          hub=None) -> tuple[str, list[int]]:
+def _emit(insns: list[IRInst], head: int, pma_active: bool, inline_mem: bool,
+          redzones: bool, hub=None) -> tuple[str, list[int]]:
     """Generate the block function source and its static-exit targets.
 
     With a (dispatch-transparent) ``hub``, transfer and fault event

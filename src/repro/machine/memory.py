@@ -265,6 +265,11 @@ class Memory:
         self._snap_epoch = self._snap_counter
         return MemorySnapshot(self._snap_epoch, dict(pages), dict(self._perms))
 
+    @property
+    def has_snapshot(self) -> bool:
+        """Whether :meth:`snapshot` has run: the machine is a fork server."""
+        return self._snap_counter > 0
+
     def restore(self, snap: MemorySnapshot) -> tuple[list[int], bool]:
         """Rewind contents and permissions to ``snap``.
 

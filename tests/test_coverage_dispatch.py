@@ -14,11 +14,12 @@ are identical across
 * transparent dispatch with the trace JIT enabled (traces stand down
   under a hub; blocks still serve hot code).
 
-The monitored ASan legs add the service's default campaign shape
-(``testing`` red zones, coverage, and the :class:`InvariantMonitor`)
-on victims whose red-zone hits come from scalar stores in compiled
-code: crash sites with ``first_breach``, breach timelines, and the
-full read/write event stream must match too.
+The ASan legs run victims whose red-zone hits come from scalar stores
+in compiled code, coverage-only (what plain greybox fuzzing runs) and
+in the service's default campaign shape (coverage plus the
+:class:`InvariantMonitor`), with and without a read/write event
+recorder: crash sites with ``first_breach``, breach timelines, and the
+recorded event stream must match too.
 """
 
 from __future__ import annotations
@@ -95,13 +96,15 @@ def executor_with(observer, victim: str = "fig1_staged",
     return executor
 
 
-def digest_inputs(executor, recorder: MemoryEventRecorder,
-                  inputs: list[bytes]) -> list[tuple]:
-    """Run each input; return everything observable about each run."""
+def digest_inputs(executor, inputs: list[bytes],
+                  recorder: MemoryEventRecorder | None = None) -> list[tuple]:
+    """Run each input; return everything observable about each run,
+    including ``recorder``'s events if one is attached."""
     observer = executor.observer
     digest = []
     for data in inputs:
-        recorder.events.clear()
+        if recorder is not None:
+            recorder.events.clear()
         result = executor.run(data)
         digest.append((
             summarize(result),
@@ -109,20 +112,24 @@ def digest_inputs(executor, recorder: MemoryEventRecorder,
             observer.edge_items(),
             outcome_of(observer, result, executor.monitor).crash_site,
             timeline_key(executor.monitor),
-            tuple(recorder.events),
+            () if recorder is None else tuple(recorder.events),
         ))
     return digest
 
 
 def leg(observer_cls, victim: str = "fig1_staged", invariants: bool = False,
-        **config):
+        record: bool = False, **config):
     """Run every probe input of ``victim`` down one dispatch leg, with
-    or without the invariant monitor; return everything observable
-    about it."""
+    or without the invariant monitor and a :class:`MemoryEventRecorder`
+    (either one subscribes to memory events, which switches the machine
+    to the observed accessors and event-emitting blocks); return
+    everything observable about it."""
     executor = executor_with(observer_cls(), victim, invariants, **config)
-    recorder = MemoryEventRecorder()
-    executor.machine.attach_observer(recorder)
-    return executor, digest_inputs(executor, recorder, VICTIM_INPUTS[victim])
+    recorder = None
+    if record:
+        recorder = MemoryEventRecorder()
+        executor.machine.attach_observer(recorder)
+    return executor, digest_inputs(executor, VICTIM_INPUTS[victim], recorder)
 
 
 class TestTransparency:
@@ -167,18 +174,19 @@ class TestDifferential:
         """Interleaved restores (the fuzzing access pattern) must not
         desynchronize the transparent leg from the stepped one."""
         executor = executor_with(CoverageObserver())
-        recorder = MemoryEventRecorder()
-        executor.machine.attach_observer(recorder)
         for _ in range(2):
-            assert digest_inputs(executor, recorder, INPUTS) == stepped
+            assert digest_inputs(executor, INPUTS) == stepped
 
 
-#: Victim x invariant-monitor cases beyond TestDifferential's
-#: coverage-only fig1_staged.
-MONITORED_CASES = [
-    (victim, invariants)
-    for victim in VICTIM_INPUTS for invariants in (False, True)
-    if (victim, invariants) != ("fig1_staged", False)
+#: Victim x invariant monitor x event recorder, beyond TestDifferential's
+#: coverage-only fig1_staged.  Without monitor and recorder no observer
+#: wants memory events, so the plain accessors and event-free blocks run
+#: -- what plain greybox fuzzing runs.
+ASAN_CASES = [
+    (victim, invariants, record)
+    for victim in VICTIM_INPUTS
+    for invariants in (False, True) for record in (False, True)
+    if (victim, invariants, record) != ("fig1_staged", False, False)
 ]
 
 #: The transparent legs, as executor config.
@@ -189,15 +197,16 @@ TRANSPARENT_LEGS = {
 }
 
 
-class TestMonitoredAsanDifferential:
+class TestAsanDifferential:
     """``testing`` red zones with coverage and, optionally, the
-    invariant monitor: every leg matches per-instruction stepping."""
+    invariant monitor and an event recorder: every leg matches
+    per-instruction stepping."""
 
-    @pytest.mark.parametrize("victim, invariants", MONITORED_CASES)
-    def test_every_leg_matches_stepped(self, victim, invariants):
-        stepped = leg(SteppedCoverageObserver, victim, invariants)[1]
+    @pytest.mark.parametrize("victim, invariants, record", ASAN_CASES)
+    def test_every_leg_matches_stepped(self, victim, invariants, record):
+        stepped = leg(SteppedCoverageObserver, victim, invariants, record)[1]
         for name, config in TRANSPARENT_LEGS.items():
-            assert leg(CoverageObserver, victim, invariants,
+            assert leg(CoverageObserver, victim, invariants, record,
                        **config)[1] == stepped, name
 
     @pytest.mark.parametrize("invariants", [False, True])
@@ -212,4 +221,3 @@ class TestMonitoredAsanDifferential:
         assert len({site.ip for site in sites if site}) == 1
         breach = "red-zone" if invariants else None
         assert {site.first_breach for site in sites if site} == {breach}
-

@@ -341,8 +341,10 @@ class TestRedZonedBlocks:
         program = _exit_after(build.mov_ri(R1, WORD),
                               build.load(R0, Mem(R1, 0)))
         machine = load_program(program, redzones=True)
+        assert not machine.memory.has_snapshot
         one_shot = compile_block(machine, CODE).source
         machine.snapshot()
+        assert machine.memory.has_snapshot
         replaying = compile_block(machine, CODE).source
         assert "m.read_word(_a)" in one_shot and "_rz" not in one_shot
         assert "_a in _rz" in replaying
@@ -368,7 +370,6 @@ class TestRedZonedBlocks:
         assert blocked == run_redzoned(program, False, early=(),
                                        late=(poison,))[1]
         assert _red_zone_fault(blocked) is not None
-
 
 
 class TestSelfModifyingBlocks:
