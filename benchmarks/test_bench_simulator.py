@@ -4,11 +4,11 @@ Not a paper artefact: these wall-clock numbers characterise the
 simulator so experiment runtimes are interpretable, and guard against
 performance regressions in the fetch/decode/execute pipeline.
 
-Three throughput legs: ``interpreter`` pins ``block_cache=False`` so
-its history stays comparable with runs recorded before the basic-block
-translation cache existed; ``block`` pins superblock dispatch with the
-trace tier off, preserving that leg's pre-trace history; ``trace``
-measures the full default pipeline (superblocks + the tier-2 trace
+Three throughput legs: ``interpreter`` pins ``tier="interp"`` so its
+history stays comparable with runs recorded before the basic-block
+translation cache existed; ``block`` pins ``tier="block"`` (superblock
+dispatch, trace tier off), preserving that leg's pre-trace history;
+``trace`` measures the full default pipeline (superblocks + the tier-2 trace
 JIT, tests/test_differential_trace.py proves it observationally
 identical).  The --check gate requires the trace leg to beat the block
 leg by MIN_TRACE_SPEEDUP in run_benchmarks.py.  A fourth ``monitored``
@@ -38,6 +38,9 @@ recorded ``cores`` travels with the number).
 """
 
 from repro.link import load
+from repro.machine import MachineConfig
+from repro.machine.blocks import MAX_BLOCK_INSNS
+from repro.machine.trace import TRACE_MAX_INSNS
 from repro.minic import CompileOptions, compile_source
 
 _HOT_LOOP = """
@@ -57,12 +60,10 @@ def _build():
     return load([obj])
 
 
-def _bench_throughput(benchmark, label, block_cache, trace_jit=False):
+def _bench_throughput(benchmark, label, tier):
     def run_once():
         program = _build()
-        config = program.machine.config
-        config.block_cache = block_cache
-        config.trace_jit = trace_jit
+        program.machine.config.tier = tier
         result = program.run(10_000_000)
         assert result.exit_code == 0
         return result.instructions
@@ -74,13 +75,11 @@ def _bench_throughput(benchmark, label, block_cache, trace_jit=False):
         benchmark.extra_info["instructions_per_second"] = rate
         # Record the dispatch configuration alongside the number so a
         # history entry is interpretable on its own.
-        probe = _build().machine.config
         benchmark.extra_info["config"] = {
-            "block_cache": block_cache,
-            "trace_jit": trace_jit,
-            "max_block_insns": probe.max_block_insns,
-            "trace_hot_threshold": probe.trace_hot_threshold,
-            "trace_max_insns": probe.trace_max_insns,
+            "tier": tier,
+            "max_block_insns": MAX_BLOCK_INSNS,
+            "trace_hot_threshold": MachineConfig.trace_hot_threshold,
+            "trace_max_insns": TRACE_MAX_INSNS,
         }
         print(f"\n{label} throughput: ~{rate:,.0f} instructions/second "
               f"({instructions} instructions per run)")
@@ -88,18 +87,17 @@ def _bench_throughput(benchmark, label, block_cache, trace_jit=False):
 
 
 def test_bench_interpreter_throughput(benchmark):
-    _bench_throughput(benchmark, "interpreter", block_cache=False)
+    _bench_throughput(benchmark, "interpreter", "interp")
 
 
 def test_bench_block_throughput(benchmark):
-    # trace_jit pinned off: this leg's history predates the trace tier
-    # and must keep measuring superblock dispatch alone.
-    _bench_throughput(benchmark, "block-translation", block_cache=True)
+    # Trace tier off: this leg's history predates the trace tier and
+    # must keep measuring superblock dispatch alone.
+    _bench_throughput(benchmark, "block-translation", "block")
 
 
 def test_bench_trace_throughput(benchmark):
-    _bench_throughput(benchmark, "trace-jit", block_cache=True,
-                      trace_jit=True)
+    _bench_throughput(benchmark, "trace-jit", "trace")
 
 
 def test_bench_monitored_throughput(benchmark):
@@ -116,9 +114,7 @@ def test_bench_monitored_throughput(benchmark):
 
     def run_once():
         program = _build()
-        config = program.machine.config
-        config.block_cache = True
-        config.trace_jit = False
+        program.machine.config.tier = "block"
         monitor = InvariantMonitor()
         program.machine.attach_observer(monitor)
         monitor.bind_program(program)

@@ -221,14 +221,11 @@ class ExecOutcome:
     (3 bytes per edge), or ``b""`` when a worker's shared-virgin-map
     overlay proved the run covers nothing new (the bitmap-delta
     filter: plateaued campaigns ship almost no coverage bytes at all).
-    Pickles written before the packed format -- tuple-of-tuples edge
-    lists -- still load and compare; :meth:`edge_items` normalizes
-    both shapes.
     """
 
     status: str
     fault: str | None
-    edges: bytes | tuple[tuple[int, int], ...]
+    edges: bytes
     crash_site: CrashSite | None
     instructions: int
 
@@ -238,11 +235,8 @@ class ExecOutcome:
         return self.fault is not None and self.fault not in _NON_DETECTIONS
 
     def edge_items(self) -> tuple[tuple[int, int], ...]:
-        """The run's ``(cell, bucket_mask)`` pairs, whatever the wire
-        shape (packed blob, or a legacy tuple-of-tuples pickle)."""
-        if isinstance(self.edges, (bytes, bytearray)):
-            return unpack_edges(self.edges)
-        return tuple(self.edges)
+        """The run's ``(cell, bucket_mask)`` pairs, unpacked."""
+        return unpack_edges(self.edges)
 
 
 def outcome_of(observer: CoverageObserver, result: RunResult,

@@ -38,11 +38,14 @@ process boundaries).
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
+
+from repro.machine import machine as machine_module
 
 
 def _machine_of(target):
@@ -95,77 +98,94 @@ class CampaignSession:
         run_trial = self.run_trial
         return [run_trial(index) for index in indices]
 
+    def run_counted(self, items) -> tuple[list, int]:
+        """:meth:`run_batch`, plus the dirty pages its restores rewound."""
+        before = self.restored_pages
+        return self.run_batch(items), self.restored_pages - before
+
 
 #: Per-worker-process warm session (parallel path), set by _worker_init.
 _WORKER_SESSION: CampaignSession | None = None
 
 
-def _worker_init(factory, trial, decode_default, block_default) -> None:
+def _worker_init(factory, trial, tier: str) -> None:
     """Pool initializer: build one warm session for this process.
 
-    The parent's interpreter-cache defaults ride along so workers
-    execute down the same machine path (the differential suites flip
-    those module globals and expect whole pipelines to honour them).
+    ``tier`` is the parent's resolved dispatch tier, applied as this
+    process's ``REPRO_TIER`` so the worker's machines run the parent's
+    tier under every start method (a ``forkserver`` worker inherits the
+    environment its server started with, not the parent's current one).
     """
-    import repro.machine.machine as machine_module
-
-    machine_module.DECODE_CACHE_DEFAULT = decode_default
-    machine_module.BLOCK_CACHE_DEFAULT = block_default
+    os.environ["REPRO_TIER"] = tier
     global _WORKER_SESSION
     _WORKER_SESSION = CampaignSession(factory, trial)
 
 
-def _worker_batch(indices) -> tuple[list, int]:
-    session = _WORKER_SESSION
-    before = session.restored_pages
-    verdicts = session.run_batch(indices)
-    return verdicts, session.restored_pages - before
-
-
 def _worker_items(items) -> tuple[list, int]:
-    """Like :func:`_worker_batch`, but over explicit trial items (the
-    greybox fuzzer ships mutated inputs instead of index ranges)."""
-    session = _WORKER_SESSION
-    before = session.restored_pages
-    verdicts = session.run_batch(items)
-    return verdicts, session.restored_pages - before
+    """Run one work unit on this worker's warm session."""
+    return _WORKER_SESSION.run_counted(items)
 
 
 class PendingItems:
     """In-flight work handed out by :meth:`CampaignRunner.submit_items`.
 
-    On the pooled path the items are already executing when this
-    object exists; :meth:`result` just collects the chunk futures.  On
-    the sequential path execution is *lazy* -- it happens inside
-    :meth:`result` -- so a pipelined client (submit batch N+1, then
-    integrate batch N) observes the exact same execution order a plain
-    ``run_items`` loop would, and the two paths stay verdict-identical.
+    On the persistent pool the items are already executing when this
+    object exists; :meth:`result` just collects the chunk futures.
+    Otherwise execution is *lazy* -- it happens inside :meth:`result`,
+    on the sequential warm session or a per-call pool -- so a pipelined
+    client (submit batch N+1, then integrate batch N) observes the
+    exact same execution order a plain ``run_items`` loop would, and
+    the two paths stay verdict-identical.
     """
 
-    def __init__(self, runner: "CampaignRunner", items: list,
-                 futures: list | None, workers: int, started: float) -> None:
+    def __init__(self, runner: "CampaignRunner", items: list) -> None:
         self._runner = runner
         self._items = items
-        self._futures = futures
-        self._workers = workers
-        self._started = started
+        self._started = perf_counter()
+        self._futures: list | None = None
+        self._workers = 0
         self._result: CampaignResult | None = None
+
+    def _submit(self, pool: ProcessPoolExecutor, workers: int,
+                chunksize: int | None = None) -> None:
+        """Start the items on ``pool``: one contiguous chunk per worker
+        (locality + order), or ``chunksize``-item work units."""
+        items = self._items
+        self._workers = workers = min(workers, len(items))
+        if chunksize is None:
+            base, extra = divmod(len(items), workers)
+            cuts = [w * base + min(w, extra) for w in range(workers + 1)]
+        else:
+            cuts = [*range(0, len(items), max(1, chunksize)), len(items)]
+        self._futures = [pool.submit(_worker_items, items[lo:hi])
+                         for lo, hi in zip(cuts, cuts[1:])]
 
     def result(self) -> "CampaignResult":
         """Block until every item has run; verdicts in item order."""
         if self._result is None:
-            if self._futures is None:
-                self._result = self._runner._run_items_now(
-                    self._items, self._started)
-            else:
+            runner = self._runner
+            items = self._items
+            jobs = min(runner.jobs or 1, len(items))
+            if self._futures is not None:
                 batches = [future.result() for future in self._futures]
-                verdicts = [v for batch, _ in batches for v in batch]
-                pages = sum(pages for _, pages in batches)
-                self._result = CampaignResult(
-                    verdicts, len(self._items), self._workers,
-                    perf_counter() - self._started, pages,
-                )
-            self._runner._settle(self)
+            elif jobs > 1 and not machine_module._DEFAULT_OBSERVER_FACTORIES:
+                with runner._new_pool(jobs) as pool:
+                    self._submit(pool, jobs)
+                    batches = [future.result() for future in self._futures]
+            elif items:
+                if runner._session is None:
+                    runner._session = CampaignSession(runner.factory,
+                                                      runner.trial)
+                self._workers = 1
+                batches = [runner._session.run_counted(items)]
+            else:
+                batches = []
+            self._result = CampaignResult(
+                [v for batch, _ in batches for v in batch], len(items),
+                self._workers, perf_counter() - self._started,
+                sum(pages for _, pages in batches),
+            )
+            runner._settle(self)
         return self._result
 
     def cancel(self) -> None:
@@ -236,7 +256,6 @@ class CampaignRunner:
         #: Persistent worker pool (entered via ``with runner:``); None
         #: means every ``run``/``run_items`` call builds its own.
         self._pool: ProcessPoolExecutor | None = None
-        self._pool_workers = 0
         #: Cached warm session for sequential ``run_items`` streams
         #: (the greybox fuzzer calls it once per mutation batch).
         self._session: CampaignSession | None = None
@@ -252,8 +271,6 @@ class CampaignRunner:
         ``run``/``run_items`` call inside the ``with`` block --
         batch-streaming clients (the greybox fuzzer) would otherwise
         pay a full per-worker rebuild on every batch."""
-        import repro.machine.machine as machine_module
-
         jobs = self.jobs or 1
         if jobs > 1:
             if machine_module._DEFAULT_OBSERVER_FACTORIES:
@@ -266,18 +283,20 @@ class CampaignRunner:
                     stacklevel=2,
                 )
             else:
-                self._pool_workers = jobs
-                self._pool = ProcessPoolExecutor(
-                    max_workers=jobs,
-                    initializer=_worker_init,
-                    initargs=(self.factory, self.trial,
-                              machine_module.DECODE_CACHE_DEFAULT,
-                              machine_module.BLOCK_CACHE_DEFAULT),
-                )
+                self._pool = self._new_pool(jobs)
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def _new_pool(self, workers: int) -> ProcessPoolExecutor:
+        """A pool whose workers each hold one warm session on the
+        parent's dispatch tier."""
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_worker_init,
+            initargs=(self.factory, self.trial, machine_module.default_tier()),
+        )
 
     def _settle(self, handle: PendingItems) -> None:
         try:
@@ -291,9 +310,9 @@ class CampaignRunner:
         Outstanding :meth:`submit_items` handles are settled first,
         deterministically: pooled batches are already executing, so
         they are *drained* (their verdicts stay collectable through
-        ``.result()`` after close); lazy sequential batches have not
-        started, so they are *cancelled* (resolving them later would
-        silently resurrect the warm session this close just dropped).
+        ``.result()`` after close); lazy batches have not started, so
+        they are *cancelled* (resolving them later would silently
+        resurrect the warm session this close just dropped).
         """
         for handle in list(self._pending):
             if handle._futures is not None:
@@ -303,48 +322,14 @@ class CampaignRunner:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-            self._pool_workers = 0
         # The sequential warm session pins a built machine plus its
         # baseline snapshot pages; a closed runner must not keep them
         # alive for its own lifetime.
         self._session = None
 
-    def _chunks(self, trials: int, workers: int) -> list[range]:
-        """Contiguous index ranges, one per worker (locality + order)."""
-        base, extra = divmod(trials, workers)
-        chunks, start = [], 0
-        for worker in range(workers):
-            count = base + (1 if worker < extra else 0)
-            if count:
-                chunks.append(range(start, start + count))
-                start += count
-        return chunks
-
     def run(self, trials: int) -> CampaignResult:
         """Execute ``trials`` snapshot/restore trials (index order)."""
-        import repro.machine.machine as machine_module
-
-        jobs = self.jobs or 1
-        started = perf_counter()
-        sequential = (
-            jobs <= 1 or trials <= 1
-            or machine_module._DEFAULT_OBSERVER_FACTORIES
-        ) and self._pool is None
-        if sequential:
-            session = CampaignSession(self.factory, self.trial)
-            verdicts = session.run_batch(range(trials))
-            return CampaignResult(
-                verdicts, trials, 1, perf_counter() - started,
-                session.restored_pages,
-            )
-        chunks = self._chunks(trials, min(jobs, trials))
-        batches, workers = self._map_chunks(_worker_batch, chunks,
-                                            machine_module)
-        verdicts = [v for batch, _ in batches for v in batch]
-        pages = sum(pages for _, pages in batches)
-        return CampaignResult(
-            verdicts, trials, workers, perf_counter() - started, pages,
-        )
+        return self.run_items(range(trials))
 
     def run_items(self, items) -> CampaignResult:
         """Run one trial per explicit ``item`` (instead of an index).
@@ -371,72 +356,11 @@ class CampaignRunner:
         sequential warm session or a per-call pool), preserving
         run_items semantics exactly.
         """
-        items = list(items)
-        started = perf_counter()
-        if not items or self._pool is None:
-            handle = PendingItems(self, items, None, 0, started)
-        else:
-            workers = min(self._pool_workers, len(items))
-            if self.chunksize is not None:
-                size = max(1, self.chunksize)
-                chunks = [items[pos:pos + size]
-                          for pos in range(0, len(items), size)]
-            else:
-                chunks = [[items[i] for i in chunk]
-                          for chunk in self._chunks(len(items), workers)]
-            futures = [self._pool.submit(_worker_items, chunk)
-                       for chunk in chunks]
-            handle = PendingItems(self, items, futures, workers, started)
+        handle = PendingItems(self, list(items))
+        if handle._items and self._pool is not None:
+            handle._submit(self._pool, self.jobs, self.chunksize)
         self._pending.append(handle)
         return handle
-
-    def _run_items_now(self, items: list, started: float) -> CampaignResult:
-        """Synchronous item execution (the non-pooled legs)."""
-        import repro.machine.machine as machine_module
-
-        jobs = self.jobs or 1
-        if not items:
-            return CampaignResult([], 0, 0, perf_counter() - started, 0)
-        sequential = (
-            jobs <= 1 or len(items) <= 1
-            or machine_module._DEFAULT_OBSERVER_FACTORIES
-        ) and self._pool is None
-        if sequential:
-            if self._session is None:
-                self._session = CampaignSession(self.factory, self.trial)
-            session = self._session
-            before = session.restored_pages
-            verdicts = session.run_batch(items)
-            return CampaignResult(
-                verdicts, len(items), 1, perf_counter() - started,
-                session.restored_pages - before,
-            )
-        workers = min(jobs, len(items))
-        chunk_ranges = self._chunks(len(items), workers)
-        chunks = [[items[i] for i in chunk] for chunk in chunk_ranges]
-        batches, workers = self._map_chunks(_worker_items, chunks,
-                                            machine_module)
-        verdicts = [v for batch, _ in batches for v in batch]
-        pages = sum(pages for _, pages in batches)
-        return CampaignResult(
-            verdicts, len(items), workers, perf_counter() - started, pages,
-        )
-
-    def _map_chunks(self, worker_fn, chunks, machine_module):
-        """Map ``worker_fn`` over ``chunks``, reusing the persistent
-        pool when one is active (``with runner:``)."""
-        if self._pool is not None:
-            return (list(self._pool.map(worker_fn, chunks)),
-                    self._pool_workers)
-        with ProcessPoolExecutor(
-            max_workers=len(chunks),
-            initializer=_worker_init,
-            initargs=(self.factory, self.trial,
-                      machine_module.DECODE_CACHE_DEFAULT,
-                      machine_module.BLOCK_CACHE_DEFAULT),
-        ) as pool:
-            batches = list(pool.map(worker_fn, chunks))
-        return batches, len(chunks)
 
     def run_cold(self, trials: int) -> CampaignResult:
         """The comparison baseline: rebuild the target for every trial.

@@ -18,6 +18,7 @@ quantitative:
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -72,17 +73,15 @@ class MatrixCell:
 def _run_cell(task: tuple) -> MatrixCell:
     """Run one (attack, preset) cell.  Module-level so it pickles.
 
-    The parent's interpreter-cache defaults ride along in the task so
-    worker processes execute down the same machine path (the
-    differential suites flip those module globals and expect whole
-    pipelines -- parallel or not -- to honour them).
+    The parent's resolved dispatch tier rides along in the task and
+    becomes the process's ``REPRO_TIER``, so worker processes run the
+    parent's tier under every start method (the differential suites
+    pin a tier and expect whole pipelines -- parallel or not -- to
+    honour it; see :func:`repro.campaign.runner._worker_init`).
     """
-    (attack_fn, attack_name, preset_name, preset, seed,
-     decode_default, block_default, invariants) = task
-    import repro.machine.machine as machine_module
-
-    machine_module.DECODE_CACHE_DEFAULT = decode_default
-    machine_module.BLOCK_CACHE_DEFAULT = block_default
+    (attack_fn, attack_name, preset_name, preset, seed, tier,
+     invariants) = task
+    os.environ["REPRO_TIER"] = tier
     if not invariants:
         return MatrixCell(attack_name, preset_name,
                           attack_fn(preset, seed=seed))
@@ -134,10 +133,9 @@ def run_matrix(
     """
     import repro.machine.machine as machine_module
 
+    tier = machine_module.default_tier()
     tasks = [
-        (attack_fn, attack_name, preset_name, preset, seed,
-         machine_module.DECODE_CACHE_DEFAULT,
-         machine_module.BLOCK_CACHE_DEFAULT, invariants)
+        (attack_fn, attack_name, preset_name, preset, seed, tier, invariants)
         for attack_fn, attack_name in UNIQUE_ATTACKS
         for preset_name, preset in presets
     ]

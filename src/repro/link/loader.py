@@ -77,8 +77,6 @@ def load(
     pma: PMAController | None = None,
     plan: LayoutPlan | None = None,
     add_crt0: bool = True,
-    trace: bool = False,
-    trace_limit: int = 100_000,
 ) -> LoadedProgram:
     """Link ``objects`` and load them into a fresh machine.
 
@@ -105,8 +103,6 @@ def load(
         cfi=config.cfi or config.cfi_typed,
         cfi_mode="typed" if config.cfi_typed else "coarse",
         redzones=config.asan,
-        trace=trace,
-        trace_limit=trace_limit,
         rng_seed=rng.getrandbits(32),
     )
     machine = Machine(machine_config, pma)

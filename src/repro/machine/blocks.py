@@ -112,10 +112,9 @@ from repro.machine.ir import (
 )
 from repro.machine.memory import PERM_X, _PAGE_SHIFT, _U32
 
-#: Default for :attr:`MachineConfig.max_block_insns`: the longest run
-#: of instructions fused into one block.  Long enough to swallow any
-#: realistic straight-line run on a 4 KiB page, small enough to keep
-#: translation latency negligible.
+#: The longest run of instructions fused into one block.  Long enough
+#: to swallow any realistic straight-line run on a 4 KiB page, small
+#: enough to keep translation latency negligible.
 MAX_BLOCK_INSNS = 64
 
 _M = WORD_MASK  # 4294967295
@@ -166,8 +165,7 @@ def compile_block(machine, head: int) -> CompiledBlock | None:
         entry_points = frozenset().union(
             *(module.entry_points for module in machine.pma.modules)
         )
-    insns = lift_block(memory, masked, machine.config.max_block_insns,
-                       entry_points)
+    insns = lift_block(memory, masked, MAX_BLOCK_INSNS, entry_points)
     if not insns:
         return None
     redzones = machine.config.redzones

@@ -143,8 +143,7 @@ class Debugger:
 
         Always the per-instruction interpreter path: ``Machine.step``
         never dispatches through translated superblocks, so stepping
-        stays instruction-granular regardless of
-        ``MachineConfig.block_cache``.
+        stays instruction-granular on every ``MachineConfig.tier``.
         """
         try:
             self.machine.step()

@@ -58,7 +58,6 @@ from repro.machine.memory import (
 )
 from repro.machine.syscalls import HANDLERS
 from repro.observe.events import ObserverHub
-from repro.observe.tracer import InstructionTracer
 from repro.pma.module import PMAController
 
 if False:  # pragma: no cover - typing only
@@ -102,45 +101,27 @@ _NEEDED = {
     AccessKind.WRITE: PERM_W,
 }
 
-#: Default for :attr:`MachineConfig.decode_cache`.  The differential
-#: suite flips this module global to run whole experiment pipelines
-#: (which construct their machines internally) without the cache.
-DECODE_CACHE_DEFAULT = True
-
-#: Default for :attr:`MachineConfig.block_cache`, flipped the same way
-#: by the block-mode differential suite.
-BLOCK_CACHE_DEFAULT = True
-
-#: Default for :attr:`MachineConfig.trace_jit`, flipped the same way
-#: by the trace-mode differential suite.
-TRACE_JIT_DEFAULT = True
+#: Dispatch tiers, slowest first (see :attr:`MachineConfig.tier`).
+TIERS = ("uncached", "interp", "block", "trace")
 
 
-def _env_override(name: str) -> bool | None:
-    """Tri-state environment switch: None when unset, else its truth.
+def default_tier() -> str:
+    """The process-wide dispatch tier: ``REPRO_TIER`` when set, else
+    ``"trace"``.
 
-    Lets CI run the whole suite down a chosen execution path
-    (``REPRO_BLOCK_CACHE=0 pytest ...``) without touching any test.
+    Lets CI run the whole suite down one tier (``REPRO_TIER=interp
+    pytest ...``) without touching any test, and lets the differential
+    suites pin a tier for pipelines that build their own machines.
     """
-    value = os.environ.get(name)
-    if value is None:
-        return None
-    return value.strip().lower() not in ("0", "false", "no", "off", "")
+    return _checked_tier(os.environ.get("REPRO_TIER", "trace"), "REPRO_TIER")
 
 
-def _decode_cache_default() -> bool:
-    env = _env_override("REPRO_DECODE_CACHE")
-    return DECODE_CACHE_DEFAULT if env is None else env
-
-
-def _block_cache_default() -> bool:
-    env = _env_override("REPRO_BLOCK_CACHE")
-    return BLOCK_CACHE_DEFAULT if env is None else env
-
-
-def _trace_jit_default() -> bool:
-    env = _env_override("REPRO_TRACE")
-    return TRACE_JIT_DEFAULT if env is None else env
+def _checked_tier(tier: str, source: str) -> str:
+    if tier not in TIERS:
+        raise ValueError(
+            f"unknown dispatch tier {tier!r} from {source}; "
+            f"expected one of {', '.join(TIERS)}")
+    return tier
 
 
 class RunStatus(enum.Enum):
@@ -285,44 +266,32 @@ class MachineConfig:
     cfi_mode: str = "coarse"
     #: Enforce ASan-style red zones on data accesses.
     redzones: bool = False
-    #: Record an execution trace (addresses + instructions).  Served
-    #: by an auto-attached
-    #: :class:`~repro.observe.tracer.InstructionTracer` (read it back
-    #: through ``Machine.trace``/``Machine.tracer``); must be set at
-    #: construction time.
-    trace: bool = False
-    #: Maximum trace entries retained; overflow is counted in
-    #: ``Machine.trace_dropped`` instead of being silently discarded.
-    trace_limit: int = 100_000
     #: Seed for the machine's entropy source.
     rng_seed: int = 0
-    #: Cache decoded instructions per page (invalidated on writes to
-    #: executable pages and on permission/module-table changes).  Off
-    #: reproduces the historical decode-every-step interpreter; the
-    #: differential suite asserts both modes are observationally
-    #: identical.
-    decode_cache: bool = field(default_factory=_decode_cache_default)
-    #: Translate straight-line instruction runs into fused superblock
-    #: closures dispatched block-at-a-time by :meth:`Machine.run`
-    #: (see :mod:`repro.machine.blocks`).  Shares the decode cache's
-    #: write/perm/PMA invalidation machinery; observed machines and
-    #: :meth:`Machine.step` always use the per-instruction path.
-    block_cache: bool = field(default_factory=_block_cache_default)
-    #: Longest instruction run fused into one superblock (see
-    #: :data:`repro.machine.blocks.MAX_BLOCK_INSNS` for the rationale
-    #: behind the default).
-    max_block_insns: int = 64
-    #: Tier-2 trace JIT: count block-head executions and, past
-    #: :attr:`trace_hot_threshold`, record the hot path through taken
-    #: branches into a single guarded loop closure (see
-    #: :mod:`repro.machine.trace`).  Requires ``block_cache``; opt out
-    #: with ``REPRO_TRACE=0`` or ``trace_jit=False``, mirroring the
-    #: block-cache switches.
-    trace_jit: bool = field(default_factory=_trace_jit_default)
+    #: Dispatch tier :meth:`Machine.run` uses, one of :data:`TIERS`:
+    #:
+    #: * ``"uncached"`` -- decode every step (the historical
+    #:   interpreter, kept as the decode cache's reference);
+    #: * ``"interp"`` -- the per-instruction loop over the decode cache
+    #:   (invalidated on writes to executable pages and on
+    #:   permission/module-table changes);
+    #: * ``"block"`` -- straight-line runs translated into fused
+    #:   superblock closures (see :mod:`repro.machine.blocks`);
+    #: * ``"trace"`` -- blocks plus the tier-2 trace JIT: past
+    #:   :attr:`trace_hot_threshold` block-head executions, the hot path
+    #:   through taken branches is recorded into one guarded loop
+    #:   closure (see :mod:`repro.machine.trace`).
+    #:
+    #: Defaults to :func:`default_tier`.  Observed machines (unless
+    #: every observer is dispatch-transparent) and :meth:`Machine.step`
+    #: always take the per-instruction path; the differential suites
+    #: hold every tier to identical behaviour.
+    tier: str = field(default_factory=default_tier)
     #: Block-head executions before the trace recorder kicks in.
     trace_hot_threshold: int = 20
-    #: Longest recorded trace (instructions per loop iteration).
-    trace_max_insns: int = 256
+
+    def __post_init__(self) -> None:
+        _checked_tier(self.tier, "MachineConfig.tier")
 
 
 class Machine:
@@ -411,11 +380,6 @@ class Machine:
         #: dispatch is only legal while ``_observers is _blocks_hub``;
         #: any other hub demotes ``run()`` to per-instruction stepping.
         self._blocks_hub: ObserverHub | None = None
-        #: The auto-attached legacy tracer (``config.trace``), if any.
-        self.tracer: InstructionTracer | None = None
-        if self.config.trace:
-            self.tracer = InstructionTracer(self.config.trace_limit)
-            self.attach_observer(self.tracer)
         if _DEFAULT_OBSERVER_FACTORIES:
             for factory in _DEFAULT_OBSERVER_FACTORIES:
                 observer = factory(self)
@@ -471,7 +435,7 @@ class Machine:
         observers), so the warm translations survive a temporary
         tracer attach.  A running dispatch loop picks the change up on
         its next iteration; the one block already in flight finishes
-        on its compiled-in emission (at most ``max_block_insns``
+        on its compiled-in emission (at most ``MAX_BLOCK_INSNS``
         instructions of skew, only reachable from mid-run attaches out
         of syscall hooks).
         """
@@ -514,22 +478,6 @@ class Machine:
         if hub is not None and hub.breach:
             for observer in hub.breach:
                 observer.on_invariant_breach(self, breach)
-
-    @property
-    def trace(self) -> list[tuple[int, Instruction]]:
-        """Legacy execution trace: ``(ip, insn)`` pairs.
-
-        Compatibility shim over the auto-attached
-        :class:`~repro.observe.tracer.InstructionTracer`; empty when
-        ``config.trace`` was not set at construction.
-        """
-        return self.tracer.entries if self.tracer is not None else []
-
-    @property
-    def trace_dropped(self) -> int:
-        """Trace entries discarded after ``config.trace_limit`` filled
-        (the legacy list stopped silently; this says by how much)."""
-        return self.tracer.dropped if self.tracer is not None else 0
 
     # -- privilege ----------------------------------------------------------
 
@@ -880,22 +828,7 @@ class Machine:
         dropped = len(self._decode_cache) + len(self._block_cache)
         self._decode_cache.clear()
         self._decode_pages.clear()
-        if self._block_cache:
-            self._block_cache.clear()
-            self._block_pages.clear()
-            self._block_epoch += 1
-        registry = self._chain_registry
-        if registry:
-            for cells in registry.values():
-                for cell in cells:
-                    cell[0] = None
-            registry.clear()
-        if self._trace_cache:
-            self._trace_cache.clear()
-            self._trace_pages.clear()
-            self._block_epoch += 1
-        self._trace_counts.clear()
-        self._trace_failed.clear()
+        self._flush_translations()
         self.memory.unwatch_all()
         hub = self._observers
         if hub is not None and hub.decode_invalidate:
@@ -1140,7 +1073,7 @@ class Machine:
         except DecodeError as exc:
             raise InvalidInstructionFault(str(exc), ip) from exc
         entry = (insn, length)
-        if self.config.decode_cache:
+        if self.config.tier != "uncached":
             masked = ip & WORD_MASK
             page = masked >> _PAGE_SHIFT
             if (masked & _PAGE_MASK) + length <= PAGE_SIZE and (
@@ -1248,21 +1181,23 @@ class Machine:
         Never raises on machine faults -- they are part of the
         experiment outcome and are returned in the result.
 
-        Unobserved machines with ``config.block_cache`` dispatch
-        block-at-a-time through translated superblocks, as do machines
-        whose only observers are *dispatch-transparent* (their event
-        emission is compiled into the blocks; see
+        On the ``"block"`` and ``"trace"`` tiers, unobserved machines
+        dispatch block-at-a-time through translated superblocks, as do
+        machines whose only observers are *dispatch-transparent* (their
+        event emission is compiled into the blocks; see
         ``Observer.dispatch_transparent``).  Any other observed
-        machine (and ``block_cache=False``) runs the per-instruction
-        loop, whose behaviour the differential suites hold the block
-        path to exactly.
+        machine (and the ``"interp"``/``"uncached"`` tiers) runs the
+        per-instruction loop, whose behaviour the differential suites
+        hold the block path to exactly.  The tier is read once, here.
         """
         self._status = None
         start_count = self.instructions_executed
         started = perf_counter()
+        tier = self.config.tier
         try:
-            if self.config.block_cache and self._observers is self._blocks_hub:
-                self._run_blocks(max_instructions, start_count)
+            if tier in ("block", "trace") and self._observers is self._blocks_hub:
+                self._run_blocks(max_instructions, start_count,
+                                 tier == "trace")
             else:
                 self._run_steps(max_instructions, start_count)
         except MachineFault as fault:
@@ -1270,8 +1205,8 @@ class Machine:
         return self._result(self._status, None, start_count, started)
 
     def _run_steps(self, max_instructions: int, start_count: int) -> None:
-        """The per-instruction run loop (observed machines, and
-        ``block_cache=False``)."""
+        """The per-instruction run loop (observed machines, and the
+        ``"interp"``/``"uncached"`` tiers)."""
         step = self.step
         while self._status is None:
             if self.instructions_executed - start_count >= max_instructions:
@@ -1285,7 +1220,8 @@ class Machine:
                 raise limit
             step()
 
-    def _run_blocks(self, max_instructions: int, start_count: int) -> None:
+    def _run_blocks(self, max_instructions: int, start_count: int,
+                    jit: bool) -> None:
         """Block-at-a-time dispatch through the translated-block cache.
 
         Falls back to :meth:`step` for addresses that cannot be
@@ -1306,26 +1242,25 @@ class Machine:
           :class:`CompiledBlock` when a static exit's chain cell is
           filled, so hot block-to-block transfers skip the cache probe
           entirely (``entry`` loops straight back into dispatch).
-        * **Hot traces** -- block-head execution counts past
-          ``config.trace_hot_threshold`` trigger the trace recorder;
-          an installed trace runs whole loop iterations inside one
-          closure and only returns here on a guard exit.  A trace
-          returning 1 means "a guard failed at the trace head itself";
-          ``skip`` makes the very next dispatch take the block path
-          once so a permanently failing guard cannot livelock.
+        * **Hot traces** (``jit``, the ``"trace"`` tier) -- block-head
+          execution counts past ``config.trace_hot_threshold`` trigger
+          the trace recorder; an installed trace runs whole loop
+          iterations inside one closure and only returns here on a
+          guard exit.  A trace returning 1 means "a guard failed at the
+          trace head itself"; ``skip`` makes the very next dispatch take
+          the block path once so a permanently failing guard cannot
+          livelock.
         """
         cpu = self.cpu
         blocks = self._block_cache
         traces = self._trace_cache
         counts = self._trace_counts
         failed = self._trace_failed
-        config = self.config
-        jit = config.trace_jit
-        threshold = config.trace_hot_threshold
+        threshold = self.config.trace_hot_threshold
         entry = None
         skip = None
         while self._status is None:
-            if self._observers is not self._blocks_hub or not config.block_cache:
+            if self._observers is not self._blocks_hub:
                 return self._run_steps(max_instructions, start_count)
             # Traces carry no observer emission, so the trace tier only
             # engages on genuinely unobserved machines; with a

@@ -72,6 +72,9 @@ _M = WORD_MASK
 _SIGN = 0x80000000
 _PAGE = 4096
 
+#: Longest recorded trace (instructions per loop iteration).
+TRACE_MAX_INSNS = 256
+
 
 def _signed(value: int) -> int:
     value &= _M
@@ -117,13 +120,12 @@ def record_and_compile(machine, head: int, max_instructions: int,
     mirrors ``_run_steps`` so :class:`ExecutionLimitExceeded` fires at
     the identical count and IP).  Returns a :class:`CompiledTrace`, or
     None when the path will not trace -- it reaches a syscall/halt,
-    exceeds ``trace_max_insns`` without closing the loop, an
+    exceeds :data:`TRACE_MAX_INSNS` without closing the loop, an
     instruction cannot be lifted, or the recorded bytes changed under
     a store the trace itself performed.
     """
     cpu = machine.cpu
     memory = machine.memory
-    cap = machine.config.trace_max_insns
     steps: list[TraceStep] = []
     try:
         while True:
@@ -138,7 +140,7 @@ def record_and_compile(machine, head: int, max_instructions: int,
                 return None
             if irx.kind in (ControlKind.SYS, ControlKind.HALT):
                 return None
-            if len(steps) >= cap:
+            if len(steps) >= TRACE_MAX_INSNS:
                 return None
             raw = bytes(memory.read_bytes(irx.addr, irx.length))
             machine.step()

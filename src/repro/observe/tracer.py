@@ -2,13 +2,11 @@
 
 Two recorders live here:
 
-* :class:`InstructionTracer` -- the successor of the legacy
-  ``MachineConfig.trace`` list of ``(ip, insn)`` pairs.  The machine
-  attaches one automatically when ``config.trace`` is set and serves
-  it through the backwards-compatible ``Machine.trace`` property.
-  Unlike the legacy list, hitting ``limit`` no longer *silently* stops
-  recording: the ``dropped`` counter says exactly how many entries
-  were discarded.
+* :class:`InstructionTracer` -- records ``(ip, insn)`` pairs in
+  :attr:`~InstructionTracer.entries`; attach one with
+  ``machine.attach_observer(InstructionTracer())``.  Past ``limit``
+  it keeps counting in :attr:`~InstructionTracer.dropped` instead of
+  silently discarding entries.
 * :class:`EventTrace` -- records every event kind as typed
   :class:`~repro.observe.events.Event` records, ready for the Chrome
   trace-event / JSONL exporters (:mod:`repro.observe.export`) and for
@@ -32,13 +30,12 @@ DEFAULT_LIMIT = 100_000
 
 
 class InstructionTracer(Observer):
-    """Records ``(ip, insn)`` pairs, exactly like the legacy trace list."""
+    """Records ``(ip, insn)`` pairs for every retired instruction."""
 
     def __init__(self, limit: int = DEFAULT_LIMIT):
         self.limit = limit
         self.entries: list[tuple[int, "Instruction"]] = []
-        #: Entries discarded after ``entries`` filled up.  The legacy
-        #: list just stopped growing with no indication.
+        #: Entries discarded after ``entries`` filled up.
         self.dropped = 0
 
     def on_instruction(self, machine: "Machine", ip: int,

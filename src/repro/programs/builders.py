@@ -32,7 +32,6 @@ def build_victim(
     seed: int = 0,
     with_libc: bool = True,
     extra_objects: list[ObjectFile] | None = None,
-    trace: bool = False,
 ) -> LoadedProgram:
     """Compile one of the named victim programs and load it.
 
@@ -44,7 +43,7 @@ def build_victim(
     if with_libc:
         objects.append(libc_object())
     objects.extend(extra_objects or [])
-    return load(objects, config, seed=seed, trace=trace)
+    return load(objects, config, seed=seed)
 
 
 def build_fig1(config: MitigationConfig = NONE, *, vulnerable: bool = True,
@@ -66,7 +65,6 @@ def build_secret_program(
     main_object: ObjectFile | None = None,
     fig4: bool = False,
     pma: PMAController | None = None,
-    trace: bool = False,
 ) -> LoadedProgram:
     """The Figure 2/4 program: secret module + a driver.
 
@@ -91,7 +89,7 @@ def build_secret_program(
         )
         main_obj = compile_source(source, "main", options_from_mitigations(config))
     return load([main_obj, secret_obj, libc_object()], config, seed=seed,
-                pma=pma, trace=trace)
+                pma=pma)
 
 
 def build_stateful_secret(

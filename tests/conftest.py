@@ -45,6 +45,31 @@ def run_c(source: str, stdin: bytes = b"", config: MitigationConfig = NONE,
 
 
 @pytest.fixture
+def compiled_blocks(monkeypatch) -> list[int]:
+    """Head addresses of every superblock compiled in this process while
+    the test runs, on any machine (pipelines build their own)."""
+    from repro.machine import machine as machine_module
+
+    heads: list[int] = []
+    compile_block = machine_module.compile_block
+
+    def counting(machine, head):
+        block = compile_block(machine, head)
+        if block is not None:
+            heads.append(head)
+        return block
+
+    monkeypatch.setattr(machine_module, "compile_block", counting)
+    return heads
+
+
+def assert_ran_tier(tier: str, compiled_blocks: list[int]) -> None:
+    """A leg pinned to ``tier`` really ran it: blocks were compiled on
+    the block tiers, and none on the per-instruction ones."""
+    assert bool(compiled_blocks) == (tier in ("block", "trace")), tier
+
+
+@pytest.fixture
 def bare_machine() -> Machine:
     """A machine with one RWX page of code space and a stack."""
     machine = Machine(MachineConfig())

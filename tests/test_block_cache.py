@@ -12,7 +12,6 @@ import pytest
 
 from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
 from repro.machine import Machine, MachineConfig
-from repro.machine import machine as machine_module
 from repro.machine.memory import PERM_R, PERM_RW, PERM_RWX, PERM_RX
 from repro.observe import MetricsCollector
 
@@ -22,13 +21,12 @@ STACK_TOP = 0x0020F000
 
 
 def rwx_machine(**config_kwargs) -> Machine:
-    # White-box suite: force translation on (explicit config beats the
-    # REPRO_BLOCK_CACHE env leg CI runs) unless a test opts out.  The
-    # trace tier is pinned off so block mechanics stay observable --
-    # installing a trace deliberately drops the loop head's block
-    # (tests/test_trace_jit.py covers that hand-off).
-    config_kwargs.setdefault("block_cache", True)
-    config_kwargs.setdefault("trace_jit", False)
+    # White-box suite: pin the block tier (explicit config beats the
+    # REPRO_TIER leg CI runs) unless a test opts out.  Not the trace
+    # tier, so block mechanics stay observable -- installing a trace
+    # deliberately drops the loop head's block (tests/test_trace_jit.py
+    # covers that hand-off).
+    config_kwargs.setdefault("tier", "block")
     machine = Machine(MachineConfig(**config_kwargs))
     machine.memory.map_region(CODE, 0x1000, PERM_RWX)
     machine.memory.map_region(STACK_BASE, 0x10000, PERM_RW)
@@ -162,19 +160,17 @@ class TestInvalidation:
 
 class TestOptOut:
     def test_config_disables_translation(self):
-        machine = rwx_machine(block_cache=False)
+        machine = rwx_machine(tier="interp")
         load(machine, HOT_LOOP)
         result = machine.run()
         assert result.exit_code == 150
         assert machine.block_cache_stats()["blocks"] == 0
 
     def test_env_var_disables_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_CACHE", "0")
-        assert MachineConfig().block_cache is False
-        monkeypatch.setenv("REPRO_BLOCK_CACHE", "1")
-        assert MachineConfig().block_cache is True
-        monkeypatch.delenv("REPRO_BLOCK_CACHE")
-        assert MachineConfig().block_cache is machine_module.BLOCK_CACHE_DEFAULT
+        monkeypatch.setenv("REPRO_TIER", "interp")
+        assert MachineConfig().tier == "interp"
+        monkeypatch.setenv("REPRO_TIER", "block")
+        assert MachineConfig().tier == "block"
 
     def test_observed_machine_falls_back_to_interpreter(self):
         machine = rwx_machine()

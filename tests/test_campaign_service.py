@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.machine.machine as machine_module
 from repro.analysis.greybox import GreyboxFuzzer, VictimFactory
 from repro.campaign.service import (
     CampaignCoordinator,
@@ -29,6 +28,7 @@ from repro.campaign.service import (
 from repro.campaign.store import CampaignStore, TriageRecord
 from repro.mitigations.config import TESTING
 from repro.observe.coverage import CrashSite
+from tests.conftest import assert_ran_tier
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -40,16 +40,12 @@ def _fuzzer(**kwargs) -> GreyboxFuzzer:
                          invariants=True, **kwargs)
 
 
-@pytest.fixture(params=[True, False], ids=["blocks", "stepped"])
-def block_default(request):
-    """Both dispatch legs: the resume contract may not depend on how
-    the machine executes (workers inherit via pool initargs)."""
-    previous = machine_module.BLOCK_CACHE_DEFAULT
-    machine_module.BLOCK_CACHE_DEFAULT = request.param
-    try:
-        yield request.param
-    finally:
-        machine_module.BLOCK_CACHE_DEFAULT = previous
+@pytest.fixture(params=["block", "interp"], ids=["blocks", "stepped"])
+def tier(request, monkeypatch):
+    """Both dispatch legs, pinned through ``REPRO_TIER``: the resume
+    contract may not depend on how the machine executes."""
+    monkeypatch.setenv("REPRO_TIER", request.param)
+    return request.param
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +56,14 @@ def block_default(request):
 class TestCheckpointResume:
     BUDGET = 800
 
-    def test_resume_report_identical_to_uninterrupted(self, block_default):
+    def test_resume_report_identical_to_uninterrupted(self, tier,
+                                                      compiled_blocks):
         """The acceptance criterion, at the fuzzer level: interrupt
         after one batch, resume from the pickled checkpoint, compare
         full-report fingerprints (corpus digest, crash dedup set with
         first_breach, coverage curve, minimized reproducers)."""
         full = _fuzzer().run(self.BUDGET)
+        assert_ran_tier(tier, compiled_blocks)
         states: list[bytes] = []
         partial = _fuzzer().run(
             self.BUDGET, checkpoint=lambda s: states.append(pickle.dumps(s)),
@@ -212,12 +210,13 @@ class TestCoordinator:
         kwargs.setdefault("max_execs", 600)
         return CampaignSpec(job_id=job_id, **kwargs)
 
-    def test_interrupt_resume_converges_to_direct_run(self, tmp_path,
-                                                      block_default):
+    def test_interrupt_resume_converges_to_direct_run(self, tmp_path, tier,
+                                                      compiled_blocks):
         """The full service path: bounded serve (interrupt), then an
         unbounded serve (resume); the sealed report must carry the
         fingerprint of a direct uninterrupted campaign."""
         direct = _fuzzer().run(600)
+        assert_ran_tier(tier, compiled_blocks)
         coordinator = CampaignCoordinator(tmp_path, max_batches=1)
         coordinator.submit(self._spec())
         partial = coordinator.serve()["job"]

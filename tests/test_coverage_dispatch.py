@@ -9,7 +9,7 @@ byte-identical and the coverage bitmap, edge list and crash signature
 are identical across
 
 * per-instruction stepping (a non-transparent observer subclass),
-* the plain interpreter leg (``block_cache=False``),
+* the plain interpreter leg (``tier="interp"``),
 * transparent superblock dispatch (the new default), and
 * transparent dispatch with the trace JIT enabled (traces stand down
   under a hub; blocks still serve hot code).
@@ -87,12 +87,10 @@ class MemoryEventRecorder(Observer):
 
 
 def executor_with(observer, victim: str = "fig1_staged",
-                  invariants: bool = False, *, block_cache: bool = True,
-                  trace_jit: bool = False):
+                  invariants: bool = False, *, tier: str = "block"):
     executor = SnapshotExecutor(VictimFactory(victim, TESTING),
                                 observer=observer, invariants=invariants)
-    executor.machine.config.block_cache = block_cache
-    executor.machine.config.trace_jit = trace_jit
+    executor.machine.config.tier = tier
     return executor
 
 
@@ -118,13 +116,13 @@ def digest_inputs(executor, inputs: list[bytes],
 
 
 def leg(observer_cls, victim: str = "fig1_staged", invariants: bool = False,
-        record: bool = False, **config):
+        record: bool = False, tier: str = "block"):
     """Run every probe input of ``victim`` down one dispatch leg, with
     or without the invariant monitor and a :class:`MemoryEventRecorder`
     (either one subscribes to memory events, which switches the machine
     to the observed accessors and event-emitting blocks); return
     everything observable about it."""
-    executor = executor_with(observer_cls(), victim, invariants, **config)
+    executor = executor_with(observer_cls(), victim, invariants, tier=tier)
     recorder = None
     if record:
         recorder = MemoryEventRecorder()
@@ -137,19 +135,19 @@ class TestTransparency:
         assert CoverageObserver.dispatch_transparent is True
 
     def test_transparent_hub_keeps_block_dispatch(self):
-        executor, _ = leg(CoverageObserver, block_cache=True)
+        executor, _ = leg(CoverageObserver)
         machine = executor.machine
         assert machine._blocks_hub is machine._observers is not None
         assert machine.block_cache_stats()["blocks"] > 0
 
     def test_stepped_observer_demotes_dispatch(self):
-        executor, _ = leg(SteppedCoverageObserver, block_cache=True)
+        executor, _ = leg(SteppedCoverageObserver)
         machine = executor.machine
         assert machine._blocks_hub is None
         assert machine.block_cache_stats()["blocks"] == 0
 
     def test_traces_stand_down_under_hub(self):
-        executor, _ = leg(CoverageObserver, block_cache=True, trace_jit=True)
+        executor, _ = leg(CoverageObserver, tier="trace")
         assert executor.machine.trace_cache_stats()["traces"] == 0
 
 
@@ -158,17 +156,16 @@ class TestDifferential:
 
     @pytest.fixture(scope="class")
     def stepped(self):
-        return leg(SteppedCoverageObserver, block_cache=True)[1]
+        return leg(SteppedCoverageObserver)[1]
 
     def test_block_leg_matches_stepped(self, stepped):
-        assert leg(CoverageObserver, block_cache=True)[1] == stepped
+        assert leg(CoverageObserver)[1] == stepped
 
     def test_interpreter_leg_matches_stepped(self, stepped):
-        assert leg(CoverageObserver, block_cache=False)[1] == stepped
+        assert leg(CoverageObserver, tier="interp")[1] == stepped
 
     def test_traced_leg_matches_stepped(self, stepped):
-        assert leg(CoverageObserver, block_cache=True,
-                   trace_jit=True)[1] == stepped
+        assert leg(CoverageObserver, tier="trace")[1] == stepped
 
     def test_restores_keep_legs_identical(self, stepped):
         """Interleaved restores (the fuzzing access pattern) must not
@@ -189,12 +186,8 @@ ASAN_CASES = [
     if (victim, invariants, record) != ("fig1_staged", False, False)
 ]
 
-#: The transparent legs, as executor config.
-TRANSPARENT_LEGS = {
-    "interp": {"block_cache": False},
-    "block": {"block_cache": True},
-    "trace": {"block_cache": True, "trace_jit": True},
-}
+#: The transparent legs' dispatch tiers.
+TRANSPARENT_LEGS = ("interp", "block", "trace")
 
 
 class TestAsanDifferential:
@@ -205,9 +198,9 @@ class TestAsanDifferential:
     @pytest.mark.parametrize("victim, invariants, record", ASAN_CASES)
     def test_every_leg_matches_stepped(self, victim, invariants, record):
         stepped = leg(SteppedCoverageObserver, victim, invariants, record)[1]
-        for name, config in TRANSPARENT_LEGS.items():
+        for tier in TRANSPARENT_LEGS:
             assert leg(CoverageObserver, victim, invariants, record,
-                       **config)[1] == stepped, name
+                       tier=tier)[1] == stepped, tier
 
     @pytest.mark.parametrize("invariants", [False, True])
     def test_scalar_stores_hit_red_zones(self, invariants):

@@ -5,13 +5,15 @@ Section III attacks (code injection, self-modifying shellcode) only
 behave faithfully if any write into an executable page kills the
 page's cached decodes, and any permission flip kills everything.  Each
 test here makes the machine execute an address, rewrite its bytes, and
-execute it again -- asserting the *newly written* bytes are what runs.
+execute it again -- asserting the *newly written* bytes are what runs,
+on every dispatch tier.
 """
 
 import pytest
 
 from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
 from repro.machine import Machine, MachineConfig, RunStatus
+from repro.machine.machine import TIERS
 from repro.machine.memory import Memory, PERM_RW, PERM_RX, PERM_RWX
 
 
@@ -51,9 +53,9 @@ class TestSelfModifyingCode:
         ]
         return encode_many(insns)
 
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_patched_instruction_executes(self, cache):
-        machine = rwx_machine(decode_cache=cache)
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_patched_instruction_executes(self, tier):
+        machine = rwx_machine(tier=tier)
         machine.memory.write_bytes(0x1000, self._program())
         result = machine.run()
         assert result.status is RunStatus.EXITED
@@ -63,9 +65,9 @@ class TestSelfModifyingCode:
 class TestCodeInjection:
     """Inject shellcode into an already-executed RWX page, then run it."""
 
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_injected_bytes_execute(self, cache):
-        machine = rwx_machine(decode_cache=cache)
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_injected_bytes_execute(self, tier):
+        machine = rwx_machine(tier=tier)
         machine.memory.map_region(0x2000, 0x1000, PERM_RWX)
         # Original stub at 0x2000: executed once first, so its decodes
         # are cached before the injection overwrites them.
@@ -94,9 +96,9 @@ class TestCodeInjection:
 class TestPermFlip:
     """set_perms W->X: freshly written then newly-executable bytes run."""
 
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_write_then_execute_cycle(self, cache):
-        machine = rwx_machine(decode_cache=cache)
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_write_then_execute_cycle(self, tier):
+        machine = rwx_machine(tier=tier)
         machine.memory.map_region(0x3000, 0x1000, PERM_RW)
         machine.memory.write_bytes(
             0x3000, encode_many([build.mov_ri(R0, 5), build.sys(3)])
@@ -118,14 +120,14 @@ class TestPermFlip:
 class TestCacheMechanics:
     """White-box checks on population and page-granular invalidation.
 
-    Pinned to ``block_cache=False``: these tests populate the decode
+    Pinned to ``tier="interp"``: these tests populate the decode
     cache by running, and block-mode runs dispatch through translated
     blocks without per-instruction decode caching (the block cache has
     its own white-box suite in tests/test_block_cache.py).
     """
 
     def test_cache_populates_and_write_invalidates_page(self):
-        machine = rwx_machine(block_cache=False)
+        machine = rwx_machine(tier="interp")
         machine.memory.write_bytes(
             0x1000, encode_many([build.mov_ri(R0, 4), build.sys(3)])
         )
@@ -136,7 +138,7 @@ class TestCacheMechanics:
         assert (0x1000 >> 12) not in machine._decode_pages
 
     def test_word_write_invalidates(self):
-        machine = rwx_machine(block_cache=False)
+        machine = rwx_machine(tier="interp")
         machine.memory.write_bytes(
             0x1000, encode_many([build.mov_ri(R0, 4), build.sys(3)])
         )
@@ -146,7 +148,7 @@ class TestCacheMechanics:
         assert 0x1000 not in machine._decode_cache
 
     def test_writes_to_other_pages_keep_cache(self):
-        machine = rwx_machine(block_cache=False)
+        machine = rwx_machine(tier="interp")
         machine.memory.write_bytes(
             0x1000, encode_many([build.mov_ri(R0, 4), build.sys(3)])
         )
@@ -156,7 +158,7 @@ class TestCacheMechanics:
         assert 0x1000 in machine._decode_cache
 
     def test_disabled_cache_stays_empty(self):
-        machine = rwx_machine(decode_cache=False, block_cache=False)
+        machine = rwx_machine(tier="uncached")
         machine.memory.write_bytes(
             0x1000, encode_many([build.mov_ri(R0, 4), build.sys(3)])
         )
@@ -166,7 +168,7 @@ class TestCacheMechanics:
     def test_pma_registration_flushes(self):
         from repro.pma.module import ProtectedModule
 
-        machine = rwx_machine(block_cache=False)
+        machine = rwx_machine(tier="interp")
         machine.memory.write_bytes(
             0x1000, encode_many([build.mov_ri(R0, 4), build.sys(3)])
         )

@@ -24,10 +24,10 @@ from hypothesis import given, settings, strategies as st
 from repro.isa import Mem, R0, R1, R2, R3, SP, build, encode_many
 from repro.isa.instructions import Instruction
 from repro.machine import Machine, MachineConfig, RunResult
-from repro.machine import machine as machine_module
 from repro.machine.blocks import compile_block
 from repro.machine.memory import PERM_RW, PERM_RWX
 from repro.mitigations import DEP, NONE
+from tests.conftest import assert_ran_tier
 
 CODE = 0x1000
 DATA = 0x00100000
@@ -39,17 +39,6 @@ STACK_TOP = 0x0020F000
 #: unmapped memory in interesting proportions.
 SEED_REGS = (0, 1, 7, DATA, DATA + 0x800, CODE, 0xDEADBEEF, 2,
              STACK_TOP, STACK_TOP)
-
-
-@pytest.fixture
-def unblocked_default():
-    """Flip the module-wide default so pipelines that build their own
-    machines (the attack suites) run without block translation."""
-    machine_module.BLOCK_CACHE_DEFAULT = False
-    try:
-        yield
-    finally:
-        machine_module.BLOCK_CACHE_DEFAULT = True
 
 
 def summarize(result: RunResult) -> tuple:
@@ -76,9 +65,10 @@ def load_program(program: bytes, **config) -> Machine:
     return machine
 
 
-def run_one(program: bytes, block: bool, max_instructions: int = 3_000) -> tuple:
-    """Run ``program`` on a fresh machine; return its complete state."""
-    machine = load_program(program, block_cache=block)
+def run_one(program: bytes, tier: str, max_instructions: int = 3_000) -> tuple:
+    """Run ``program`` on a fresh ``tier`` machine; return its complete
+    state."""
+    machine = load_program(program, tier=tier)
     return run_state(machine, max_instructions)
 
 
@@ -99,8 +89,8 @@ def run_state(machine: Machine, max_instructions: int) -> tuple:
 
 
 def assert_identical(program: bytes, max_instructions: int = 3_000) -> tuple:
-    blocked = run_one(program, True, max_instructions)
-    stepped = run_one(program, False, max_instructions)
+    blocked = run_one(program, "block", max_instructions)
+    stepped = run_one(program, "interp", max_instructions)
     assert blocked == stepped
     return blocked
 
@@ -123,11 +113,11 @@ LATE_POISON = (
 )
 
 
-def run_redzoned(program: bytes, block: bool, early=EARLY_POISON,
+def run_redzoned(program: bytes, tier: str, early=EARLY_POISON,
                  late=LATE_POISON, max_instructions: int = 3_000) -> tuple:
     """Snapshot, run, restore, poison more, run again on a red-zoned
     machine; return the state after each run."""
-    machine = load_program(program, block_cache=block, redzones=True)
+    machine = load_program(program, tier=tier, redzones=True)
     for addr, size in early:
         machine.poison(addr, size)
     baseline = machine.snapshot()
@@ -139,8 +129,8 @@ def run_redzoned(program: bytes, block: bool, early=EARLY_POISON,
 
 
 def assert_identical_redzoned(program: bytes, **poison) -> tuple:
-    blocked = run_redzoned(program, True, **poison)
-    stepped = run_redzoned(program, False, **poison)
+    blocked = run_redzoned(program, "block", **poison)
+    stepped = run_redzoned(program, "interp", **poison)
     assert blocked == stepped
     return blocked
 
@@ -359,7 +349,7 @@ class TestRedZonedBlocks:
         program = _exit_after(build.mov_ri(R1, WORD),
                               build.store(R0, Mem(R1, 0x40)), hit)
         poison = (WORD + 0x82, 1)
-        machine = load_program(program, block_cache=True, redzones=True)
+        machine = load_program(program, tier="block", redzones=True)
         baseline = machine.snapshot()
         run_state(machine, 3_000)
         block = machine._block_cache[CODE]
@@ -367,7 +357,7 @@ class TestRedZonedBlocks:
         machine.poison(*poison)
         blocked = run_state(machine, 3_000)
         assert machine._block_cache[CODE] is block
-        assert blocked == run_redzoned(program, False, early=(),
+        assert blocked == run_redzoned(program, "interp", early=(),
                                        late=(poison,))[1]
         assert _red_zone_fault(blocked) is not None
 
@@ -449,8 +439,8 @@ class TestBudgetExhaustion:
             build.jmp_abs(0x1000),          # 0x100C
         ])
         for budget in (1, 2, 3, 4, 5, 499, 500, 501):
-            blocked = run_one(program, True, max_instructions=budget)
-            stepped = run_one(program, False, max_instructions=budget)
+            blocked = run_one(program, "block", max_instructions=budget)
+            stepped = run_one(program, "interp", max_instructions=budget)
             assert blocked == stepped
             assert blocked[0][2] == "ExecutionLimitExceeded"
             assert blocked[5] == budget  # instructions_executed is exact
@@ -464,33 +454,46 @@ def _attack_summary(result):
     )
 
 
+def pipeline_legs(monkeypatch, compiled_blocks, attack,
+                  tiers=("interp", "block", "trace")) -> dict:
+    """Run ``attack()`` once per tier, pinned through ``REPRO_TIER``
+    (the pipeline builds its own machines); each leg asserts the tier
+    it ran."""
+    legs = {}
+    for tier in tiers:
+        monkeypatch.setenv("REPRO_TIER", tier)
+        compiled_blocks.clear()
+        legs[tier] = _attack_summary(attack())
+        assert_ran_tier(tier, compiled_blocks)
+    return legs
+
+
 class TestAttackPipelines:
     """Whole attack pipelines (which build machines internally) agree."""
 
-    def test_fig1_injection_exploit_identical(self, unblocked_default):
+    def test_fig1_injection_exploit_identical(self, monkeypatch,
+                                              compiled_blocks):
         from repro.attacks import attack_stack_smash_injection
 
-        stepped = _attack_summary(attack_stack_smash_injection(NONE))
-        machine_module.BLOCK_CACHE_DEFAULT = True
-        blocked = _attack_summary(attack_stack_smash_injection(NONE))
-        assert blocked == stepped
-        assert blocked[2][6]  # the exploit spawns its shell either way
+        legs = pipeline_legs(monkeypatch, compiled_blocks,
+                             lambda: attack_stack_smash_injection(NONE))
+        assert legs["block"] == legs["trace"] == legs["interp"]
+        assert legs["block"][2][6]  # the exploit spawns its shell either way
 
-    def test_rop_chain_identical(self, unblocked_default):
+    def test_rop_chain_identical(self, monkeypatch, compiled_blocks):
         from repro.attacks import attack_rop_shell
 
-        stepped = _attack_summary(attack_rop_shell(DEP))
-        machine_module.BLOCK_CACHE_DEFAULT = True
-        blocked = _attack_summary(attack_rop_shell(DEP))
-        assert blocked == stepped
+        legs = pipeline_legs(monkeypatch, compiled_blocks,
+                             lambda: attack_rop_shell(DEP))
+        assert legs["block"] == legs["trace"] == legs["interp"]
 
-    def test_dep_blocks_injection_identically(self, unblocked_default):
+    def test_dep_blocks_injection_identically(self, monkeypatch,
+                                              compiled_blocks):
         from repro.attacks import attack_stack_smash_injection
 
-        stepped = _attack_summary(attack_stack_smash_injection(DEP))
-        machine_module.BLOCK_CACHE_DEFAULT = True
-        blocked = _attack_summary(attack_stack_smash_injection(DEP))
-        assert blocked == stepped
+        legs = pipeline_legs(monkeypatch, compiled_blocks,
+                             lambda: attack_stack_smash_injection(DEP))
+        assert legs["block"] == legs["trace"] == legs["interp"]
 
 
 class TestMatrixParity:

@@ -1,11 +1,11 @@
 """Differential testing: decode cache on vs off.
 
 The decoded-instruction cache is a pure performance layer; it must be
-observationally invisible.  Each scenario here runs twice -- once with
-the cache enabled and once with the legacy decode-every-step
-interpreter -- and asserts the two runs produce identical results:
-status, exit code, fault type, output, instruction count, shell
-spawning, and (where traced) the full instruction trace.
+observationally invisible.  Each scenario here runs twice -- on the
+``interp`` tier (cache enabled) and on ``uncached`` (the legacy
+decode-every-step interpreter) -- and asserts the two runs produce
+identical results: status, exit code, fault type, output, instruction
+count, shell spawning, and (where traced) the full instruction trace.
 
 The scenarios deliberately include the paper's adversarial cases: the
 Fig. 1 stack-smash code-injection exploit, a ROP chain, self-modifying
@@ -19,21 +19,14 @@ import pytest
 
 from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
 from repro.machine import Machine, MachineConfig, RunResult
-from repro.machine import machine as machine_module
 from repro.machine.memory import PERM_RW, PERM_RWX
 from repro.mitigations import DEP, NONE
+from repro.observe import InstructionTracer
 from tests.conftest import c_program
+from tests.test_differential_blocks import pipeline_legs
 
-
-@pytest.fixture
-def uncached_default():
-    """Flip the module-wide default so pipelines that build their own
-    machines (the attack suites) run without the decode cache."""
-    machine_module.DECODE_CACHE_DEFAULT = False
-    try:
-        yield
-    finally:
-        machine_module.DECODE_CACHE_DEFAULT = True
+#: The decode cache's two legs: on (``interp``) and off (``uncached``).
+CACHE_TIERS = ("interp", "uncached")
 
 
 def summarize(result: RunResult) -> tuple:
@@ -51,12 +44,13 @@ def summarize(result: RunResult) -> tuple:
 def run_c_both_ways(source: str, stdin: bytes = b"") -> tuple:
     results = []
     traces = []
-    for cache in (True, False):
-        program = c_program(source, trace=True)
-        program.machine.config.decode_cache = cache
+    for tier in CACHE_TIERS:
+        program = c_program(source)
+        program.machine.config.tier = tier
+        tracer = program.machine.attach_observer(InstructionTracer())
         program.feed(stdin)
         results.append(program.run())
-        traces.append(program.machine.trace)
+        traces.append(tracer.entries)
     assert traces[0] == traces[1]
     return summarize(results[0]), summarize(results[1])
 
@@ -115,11 +109,12 @@ def _machine_pair(setup):
     """Build two identical bare machines via ``setup``, run both, and
     return their (summary, trace) pairs."""
     outcomes = []
-    for cache in (True, False):
-        machine = Machine(MachineConfig(trace=True, decode_cache=cache))
+    for tier in CACHE_TIERS:
+        machine = Machine(MachineConfig(tier=tier))
+        tracer = machine.attach_observer(InstructionTracer())
         setup(machine)
         result = machine.run(max_instructions=10_000)
-        outcomes.append((summarize(result), machine.trace))
+        outcomes.append((summarize(result), tracer.entries))
     return outcomes
 
 
@@ -182,38 +177,31 @@ class TestAdversarialPrograms:
         assert cached[1] == 7
 
 
-def _attack_summary(result):
-    return (
-        result.outcome,
-        result.detail,
-        summarize(result.run) if result.run is not None else None,
-    )
-
-
 class TestAttackPipelines:
     """Whole attack pipelines (which build machines internally) agree."""
 
-    def test_fig1_injection_exploit_identical(self, uncached_default):
+    def test_fig1_injection_exploit_identical(self, monkeypatch,
+                                              compiled_blocks):
         from repro.attacks import attack_stack_smash_injection
 
-        uncached = _attack_summary(attack_stack_smash_injection(NONE))
-        machine_module.DECODE_CACHE_DEFAULT = True
-        cached = _attack_summary(attack_stack_smash_injection(NONE))
-        assert cached == uncached
-        assert cached[2][6]  # the exploit spawns its shell either way
+        legs = pipeline_legs(monkeypatch, compiled_blocks,
+                             lambda: attack_stack_smash_injection(NONE),
+                             CACHE_TIERS)
+        assert legs["interp"] == legs["uncached"]
+        assert legs["interp"][2][6]  # the exploit spawns its shell either way
 
-    def test_rop_chain_identical(self, uncached_default):
+    def test_rop_chain_identical(self, monkeypatch, compiled_blocks):
         from repro.attacks import attack_rop_shell
 
-        uncached = _attack_summary(attack_rop_shell(DEP))
-        machine_module.DECODE_CACHE_DEFAULT = True
-        cached = _attack_summary(attack_rop_shell(DEP))
-        assert cached == uncached
+        legs = pipeline_legs(monkeypatch, compiled_blocks,
+                             lambda: attack_rop_shell(DEP), CACHE_TIERS)
+        assert legs["interp"] == legs["uncached"]
 
-    def test_dep_blocks_injection_identically(self, uncached_default):
+    def test_dep_blocks_injection_identically(self, monkeypatch,
+                                              compiled_blocks):
         from repro.attacks import attack_stack_smash_injection
 
-        uncached = _attack_summary(attack_stack_smash_injection(DEP))
-        machine_module.DECODE_CACHE_DEFAULT = True
-        cached = _attack_summary(attack_stack_smash_injection(DEP))
-        assert cached == uncached
+        legs = pipeline_legs(monkeypatch, compiled_blocks,
+                             lambda: attack_stack_smash_injection(DEP),
+                             CACHE_TIERS)
+        assert legs["interp"] == legs["uncached"]

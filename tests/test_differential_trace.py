@@ -36,15 +36,8 @@ from tests.test_differential_blocks import (
 )
 from repro.machine.memory import PERM_R, PERM_RW, PERM_RWX
 
-#: (block_cache, trace_jit) per leg.
-LEGS = {"interp": (False, False), "block": (True, False),
-        "trace": (True, True)}
-
-
 def fresh_machine(leg: str, hot: int = 4) -> Machine:
-    block, trace = LEGS[leg]
-    machine = Machine(MachineConfig(block_cache=block, trace_jit=trace,
-                                    trace_hot_threshold=hot))
+    machine = Machine(MachineConfig(tier=leg, trace_hot_threshold=hot))
     machine.memory.map_region(CODE, 0x1000, PERM_RWX)
     machine.memory.map_region(DATA, 0x1000, PERM_RW)
     machine.memory.map_region(STACK_BASE, 0x10000, PERM_RW)

@@ -26,9 +26,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.machine.machine as machine_module
 from repro.analysis.greybox import (
-    ExecOutcome,
     GreyboxFuzzer,
     SnapshotExecutor,
     VictimFactory,
@@ -50,6 +48,7 @@ from repro.observe.coverage import (
     stack_hash,
     unpack_edges,
 )
+from tests.conftest import assert_ran_tier
 from tests.test_differential_cache import summarize
 
 #: A crashing input for the staged Figure 1 victim: the "GET" method
@@ -57,11 +56,11 @@ from tests.test_differential_cache import summarize
 GET_SMASH = b"GET " + b"A" * 32
 
 
-def instrumented_executor(name: str, config, *, block_cache: bool = True):
+def instrumented_executor(name: str, config, *, tier: str = "block"):
     observer = CoverageObserver()
     executor = SnapshotExecutor(VictimFactory(name, config),
                                 observer=observer)
-    executor.machine.config.block_cache = block_cache
+    executor.machine.config.tier = tier
     return executor, observer
 
 
@@ -107,10 +106,10 @@ class TestCoverageMap:
 
 
 class TestCoverageDeterminism:
-    @pytest.mark.parametrize("block_cache", [True, False])
-    def test_same_input_same_bitmap_across_restores(self, block_cache):
+    @pytest.mark.parametrize("block", [True, False])
+    def test_same_input_same_bitmap_across_restores(self, block):
         executor, observer = instrumented_executor(
-            "fig1_staged", TESTING, block_cache=block_cache)
+            "fig1_staged", TESTING, tier="block" if block else "interp")
         executor.run(GET_SMASH)
         first = (observer.snapshot_counts(), observer.edge_items(),
                  observer.crash_site)
@@ -122,9 +121,9 @@ class TestCoverageDeterminism:
 
     def test_bitmap_identical_across_block_cache_legs(self):
         items = []
-        for block_cache in (True, False):
+        for tier in ("block", "interp"):
             executor, observer = instrumented_executor(
-                "fig1_staged", TESTING, block_cache=block_cache)
+                "fig1_staged", TESTING, tier=tier)
             executor.run(GET_SMASH)
             items.append((observer.snapshot_counts(), observer.edge_items(),
                           observer.crash_site))
@@ -355,16 +354,13 @@ class TestEffectiveness:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(params=[True, False], ids=["blocks", "stepped"])
-def block_default(request):
-    """Run the parallel determinism proof under both dispatch legs
-    (workers inherit the module default through the pool initargs)."""
-    previous = machine_module.BLOCK_CACHE_DEFAULT
-    machine_module.BLOCK_CACHE_DEFAULT = request.param
-    try:
-        yield request.param
-    finally:
-        machine_module.BLOCK_CACHE_DEFAULT = previous
+@pytest.fixture(params=["block", "interp"], ids=["blocks", "stepped"])
+def tier(request, monkeypatch):
+    """Run the parallel determinism proof on both dispatch legs, pinned
+    through ``REPRO_TIER`` (workers get the parent's resolved tier
+    through the pool initargs)."""
+    monkeypatch.setenv("REPRO_TIER", request.param)
+    return request.param
 
 
 class TestWireCompat:
@@ -375,25 +371,6 @@ class TestWireCompat:
         assert unpack_edges(blob) == edges
         assert pack_edges(()) == b""
         assert unpack_edges(b"") == ()
-
-    def test_old_tuple_edges_pickle_still_loads(self):
-        """PR 5-era ExecOutcome pickles carried edges as a
-        tuple-of-tuples; they must still load and integrate."""
-        old = ExecOutcome(status="fault", fault="RedZoneFault",
-                          edges=((5, 1), (9, 2)),
-                          crash_site=CrashSite("RedZoneFault", 0x1000, 7),
-                          instructions=44)
-        back = pickle.loads(pickle.dumps(old))
-        assert back.edge_items() == ((5, 1), (9, 2))
-        assert back.is_detection
-        virgin = bytearray(MAP_SIZE)
-        assert has_new_bits(virgin, back.edge_items())
-
-    def test_packed_and_tuple_outcomes_integrate_identically(self):
-        items = ((5, 1), (9, 2), (700, 8))
-        packed = ExecOutcome("exited", None, pack_edges(items), None, 10)
-        legacy = ExecOutcome("exited", None, items, None, 10)
-        assert packed.edge_items() == legacy.edge_items()
 
     def test_three_field_crash_site_fixture(self):
         """Old CrashSite pickles (pre-first_breach) construct and
@@ -483,7 +460,8 @@ class TestSharedVirginMap:
         assert repeat.crash_site is not None
         assert repeat.is_detection
 
-    def test_parallel_matches_sequential_both_legs(self, block_default):
+    def test_parallel_matches_sequential_both_legs(self, tier,
+                                                   compiled_blocks):
         """The shared-virgin-map + pipelined path must stay
         report-identical to sequential under either dispatch leg."""
         results = []
@@ -497,4 +475,6 @@ class TestSharedVirginMap:
                 [c.site for c in report.crashes],
                 [c.input for c in report.crashes],
             ))
+            if jobs is None:  # in-process, so its blocks are counted here
+                assert_ran_tier(tier, compiled_blocks)
         assert results[0] == results[1]

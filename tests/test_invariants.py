@@ -397,7 +397,7 @@ class TestSnapshotReset:
 class TestAttachDetachSymmetry:
     @pytest.mark.parametrize("block", [False, True])
     def test_detach_restores_fast_path(self, block):
-        machine = Machine(MachineConfig(block_cache=block))
+        machine = Machine(MachineConfig(tier="block" if block else "interp"))
         monitor = InvariantMonitor()
         machine.attach_observer(monitor)
         assert machine._observers is not None
@@ -419,7 +419,7 @@ void main() {
 }
 """)
         machine = program.machine
-        machine.config.block_cache = block
+        machine.config.tier = "block" if block else "interp"
         monitor = InvariantMonitor()
         machine.attach_observer(monitor)
         result = program.run()
@@ -429,13 +429,13 @@ void main() {
         assert machine._blocks_hub is None
 
     def test_non_transparent_observer_disables_block_hub(self):
-        machine = Machine(MachineConfig(block_cache=True))
+        machine = Machine(MachineConfig(tier="block"))
         machine.attach_observer(EventTrace())
         assert machine._observers is not None
         assert machine._blocks_hub is None
 
     def test_mixed_hub_is_not_transparent(self):
-        machine = Machine(MachineConfig(block_cache=True))
+        machine = Machine(MachineConfig(tier="block"))
         machine.attach_observer(InvariantMonitor())
         assert machine._blocks_hub is machine._observers
         metrics = MetricsCollector()

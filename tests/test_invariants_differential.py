@@ -27,15 +27,11 @@ from repro.machine import Machine, MachineConfig
 from repro.machine.memory import PERM_RWX
 from repro.mitigations import NONE
 from repro.observe import InvariantMonitor, observe_new_machines
-from tests.conftest import c_program
+from tests.conftest import assert_ran_tier, c_program
 from tests.test_differential_cache import C_SCENARIOS, summarize
 
-#: The three dispatch legs: (block_cache, trace_jit).
-LEGS = {
-    "interp": (False, False),
-    "block": (True, False),
-    "trace": (True, True),
-}
+#: The three dispatch legs, as tiers.
+LEGS = ("interp", "block", "trace")
 
 #: A MinC victim whose bulk read() overruns a stack buffer; 64 bytes
 #: of filler clobber the saved return address too.
@@ -64,7 +60,7 @@ def run_c_leg(source: str, stdin: bytes, leg: str,
               monitored: bool) -> tuple:
     program = c_program(source)
     machine = program.machine
-    machine.config.block_cache, machine.config.trace_jit = LEGS[leg]
+    machine.config.tier = leg
     monitor = None
     if monitored:
         monitor = InvariantMonitor()
@@ -136,8 +132,7 @@ class TestSelfModifyingIdentical:
         ])
 
     def _run(self, leg: str, monitored: bool) -> tuple:
-        machine = Machine(MachineConfig())
-        machine.config.block_cache, machine.config.trace_jit = LEGS[leg]
+        machine = Machine(MachineConfig(tier=leg))
         monitor = None
         if monitored:
             monitor = InvariantMonitor()
@@ -176,15 +171,15 @@ def _attack_summary(result):
 
 class TestAttackPipelinesIdentical:
     """Whole attack pipelines agree monitored vs not, on every leg
-    (legs selected via the environment switches the machines honour)."""
+    (legs selected via ``REPRO_TIER``, which the machines honour)."""
 
-    def _run_smash(self, monkeypatch, leg: str):
+    def _run_smash(self, monkeypatch, compiled_blocks, leg: str):
         from repro.attacks import attack_stack_smash_injection
 
-        block, trace = LEGS[leg]
-        monkeypatch.setenv("REPRO_BLOCK_CACHE", "1" if block else "0")
-        monkeypatch.setenv("REPRO_TRACE", "1" if trace else "0")
+        monkeypatch.setenv("REPRO_TIER", leg)
+        compiled_blocks.clear()
         plain = _attack_summary(attack_stack_smash_injection(NONE))
+        assert_ran_tier(leg, compiled_blocks)
         monitors: list[InvariantMonitor] = []
 
         def factory(machine):
@@ -202,13 +197,16 @@ class TestAttackPipelinesIdentical:
         return plain, observed, timeline
 
     @pytest.mark.parametrize("leg", sorted(LEGS))
-    def test_monitored_exploit_identical(self, monkeypatch, leg):
-        plain, observed, timeline = self._run_smash(monkeypatch, leg)
+    def test_monitored_exploit_identical(self, monkeypatch, compiled_blocks,
+                                         leg):
+        plain, observed, timeline = self._run_smash(monkeypatch,
+                                                    compiled_blocks, leg)
         assert observed == plain
         assert plain[2][6]          # the shell spawns either way
         assert timeline[0][0] == "return-integrity"
 
-    def test_exploit_timeline_identical_across_legs(self, monkeypatch):
-        timelines = [self._run_smash(monkeypatch, leg)[2]
+    def test_exploit_timeline_identical_across_legs(self, monkeypatch,
+                                                    compiled_blocks):
+        timelines = [self._run_smash(monkeypatch, compiled_blocks, leg)[2]
                      for leg in sorted(LEGS)]
         assert timelines[0] == timelines[1] == timelines[2]

@@ -158,7 +158,7 @@ class TestControlKinds:
 
 class TestLiftingFromMemory:
     def machine(self, insns):
-        machine = Machine(MachineConfig(block_cache=False))
+        machine = Machine(MachineConfig(tier="interp"))
         machine.memory.map_region(CODE, 0x1000, PERM_RWX)
         machine.memory.write_bytes(CODE, encode_many(insns))
         return machine

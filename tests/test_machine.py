@@ -16,6 +16,7 @@ from repro.isa import BP, Mem, R0, R1, R2, SP, build, encode_many
 from repro.machine import Machine, MachineConfig, RunStatus
 from repro.machine import syscalls
 from repro.machine.memory import PERM_R, PERM_RW, PERM_RX, PERM_RWX
+from repro.observe import InstructionTracer
 
 
 def make_machine(config=None):
@@ -66,9 +67,10 @@ class TestRunLoop:
         assert result.instructions == 6
 
     def test_trace_recorded_when_enabled(self):
-        machine = make_machine(MachineConfig(trace=True))
+        machine = make_machine()
+        tracer = machine.attach_observer(InstructionTracer())
         run_program(machine, [build.nop(), build.halt()])
-        assert [insn.mnemonic for _, insn in machine.trace] == ["nop", "halt"]
+        assert [insn.mnemonic for _, insn in tracer.entries] == ["nop", "halt"]
 
     def test_invalid_syscall_faults(self):
         machine = make_machine()

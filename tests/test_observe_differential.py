@@ -38,13 +38,14 @@ def everything():
 def run_c_both_ways(source: str, stdin: bytes = b"") -> tuple:
     outcomes = []
     for observe in (False, True):
-        program = c_program(source, trace=True)
+        program = c_program(source)
+        tracer = program.machine.attach_observer(InstructionTracer())
         if observe:
             for observer in everything():
                 program.machine.attach_observer(observer)
         program.feed(stdin)
         result = program.run()
-        outcomes.append((summarize(result), program.machine.trace))
+        outcomes.append((summarize(result), tracer.entries))
     return outcomes
 
 
@@ -76,7 +77,8 @@ class TestAdversarialPrograms:
 
         outcomes = []
         for observe in (False, True):
-            machine = Machine(MachineConfig(trace=True))
+            machine = Machine(MachineConfig())
+            tracer = machine.attach_observer(InstructionTracer())
             if observe:
                 for observer in everything():
                     machine.attach_observer(observer)
@@ -86,7 +88,7 @@ class TestAdversarialPrograms:
             machine.cpu.ip = 0x1000
             machine.cpu.sp = 0x0020F000
             result = machine.run(max_instructions=10_000)
-            outcomes.append((summarize(result), machine.trace))
+            outcomes.append((summarize(result), tracer.entries))
         (plain, plain_trace), (observed, observed_trace) = outcomes
         assert observed == plain
         assert observed_trace == plain_trace

@@ -5,8 +5,8 @@ restored machine must be indistinguishable from one freshly built and
 loaded.  The directed cases replay the paper's adversarial workloads
 -- the Fig. 1 stack-smash exploit, a ROP chain, a self-modifying
 program -- as snapshot/restore trial sequences and hold them to the
-byte-identical summaries of fresh machines, with the block cache both
-on and off.  A hypothesis fuzzer then drives arbitrary
+byte-identical summaries of fresh machines, on the block, trace and
+interpreter tiers.  A hypothesis fuzzer then drives arbitrary
 run/write/snapshot/restore interleavings against a deepcopy oracle:
 restoring any snapshot must reproduce the exact state captured when it
 was taken, never leaking pages dirtied afterwards.
@@ -21,9 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
 from repro.machine import Machine, MachineConfig
-from repro.machine import machine as machine_module
 from repro.machine.memory import PAGE_SIZE, PERM_R, PERM_RW, PERM_RWX, Memory
 from repro.mitigations import DEP, NONE
+from tests.conftest import assert_ran_tier
 from tests.test_differential_blocks import (
     CODE,
     DATA,
@@ -134,15 +134,13 @@ def _trial(machine: Machine, feed: bytes, budget: int = 200_000) -> tuple:
     return summarize(result), _machine_state(machine)
 
 
-@pytest.fixture(params=[True, False], ids=["blocks", "stepped"])
-def block_default(request):
-    """Run every trial sequence under both dispatch strategies."""
-    previous = machine_module.BLOCK_CACHE_DEFAULT
-    machine_module.BLOCK_CACHE_DEFAULT = request.param
-    try:
-        yield request.param
-    finally:
-        machine_module.BLOCK_CACHE_DEFAULT = previous
+@pytest.fixture(params=["block", "interp", "trace"],
+                ids=["blocks", "stepped", "traces"])
+def tier(request, monkeypatch):
+    """Run every trial sequence on each dispatch tier, pinned through
+    ``REPRO_TIER`` (the builders construct their own machines)."""
+    monkeypatch.setenv("REPRO_TIER", request.param)
+    return request.param
 
 
 def _fig1_exploit_payloads() -> tuple:
@@ -163,7 +161,7 @@ def _fig1_exploit_payloads() -> tuple:
 class TestSnapshotTrialsIdentical:
     """Restore-based trial N must equal fresh-machine trial N."""
 
-    def _compare(self, build_target, feeds, block_default):
+    def _compare(self, build_target, feeds):
         builder = build_target
         warm = builder()
         machine = warm.machine if hasattr(warm, "machine") else warm
@@ -181,25 +179,23 @@ class TestSnapshotTrialsIdentical:
         assert warm_runs == cold_runs
         return machine, warm_runs
 
-    def test_fig1_exploit_trials(self, block_default):
+    def test_fig1_exploit_trials(self, tier, compiled_blocks):
         from repro.programs.builders import build_fig1
 
         exploit, benign, overflowish = _fig1_exploit_payloads()
         machine, runs = self._compare(
             lambda: build_fig1(NONE, seed=3, wide_open=True),
             [benign, exploit, overflowish, exploit, benign],
-            block_default,
         )
         shell_runs = [summary for summary, _ in runs if summary[6]]
         assert len(shell_runs) == 2  # both exploit trials, neither benign
-        if block_default and machine.config.block_cache:
+        assert_ran_tier(tier, compiled_blocks)
+        if tier != "interp":
             # Code pages were never dirtied, so the translated blocks
-            # survived every restore.  (config.block_cache re-checks
-            # because the REPRO_BLOCK_CACHE env override outranks the
-            # module default this fixture flips.)
+            # survived every restore.
             assert machine.block_cache_stats()["blocks"] > 0
 
-    def test_rop_chain_trials(self, block_default):
+    def test_rop_chain_trials(self, tier, compiled_blocks):
         from repro.attacks.gadgets import GadgetCatalog, build_shell_chain
         from repro.attacks.payloads import smash
         from repro.attacks.study import locate_overflow
@@ -214,10 +210,10 @@ class TestSnapshotTrialsIdentical:
         self._compare(
             lambda: build_fig1(DEP, seed=5, wide_open=True),
             [payload, b"plain\n", payload],
-            block_default,
         )
+        assert_ran_tier(tier, compiled_blocks)
 
-    def test_self_modifying_program_trials(self, block_default):
+    def test_self_modifying_program_trials(self, tier, compiled_blocks):
         # The self-patching loop from the block differential suite:
         # each trial dirties its own code page, so every restore must
         # rewind the patch (and flush stale translations) for the next
@@ -238,8 +234,7 @@ class TestSnapshotTrialsIdentical:
         ])
 
         def builder():
-            machine = Machine(MachineConfig(
-                block_cache=machine_module.BLOCK_CACHE_DEFAULT))
+            machine = Machine(MachineConfig())
             machine.memory.map_region(CODE, 0x1000, PERM_RWX)
             machine.memory.map_region(DATA, 0x1000, PERM_RW)
             machine.memory.map_region(STACK_BASE, 0x10000, PERM_RW)
@@ -248,12 +243,13 @@ class TestSnapshotTrialsIdentical:
             machine.cpu.regs[:] = SEED_REGS
             return machine
 
-        machine, runs = self._compare(builder, [b"", b"", b""],
-                                      block_default)
+        machine, runs = self._compare(builder, [b"", b"", b""])
         for summary, _ in runs:
             assert summary[1] == 3  # 1 (original pass) + 2 (patched)
+        assert_ran_tier(tier, compiled_blocks)
 
-    def test_restore_resets_ip_and_registers_mid_run(self, block_default):
+    def test_restore_resets_ip_and_registers_mid_run(self, tier,
+                                                     compiled_blocks):
         from repro.programs.builders import build_fig1
 
         target = build_fig1(NONE, seed=9, wide_open=True)
@@ -262,6 +258,7 @@ class TestSnapshotTrialsIdentical:
         before = _machine_state(machine)
         machine.input.feed(b"interrupted\n")
         machine.run(40)  # stop mid-program, registers/IP in flight
+        assert_ran_tier(tier, compiled_blocks)
         machine.restore(snap)
         assert _machine_state(machine) == before
 

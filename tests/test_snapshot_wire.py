@@ -21,10 +21,9 @@ from tests.test_differential_cache import summarize
 GET_SMASH = b"GET " + b"A" * 32
 
 
-def fig1(block_cache: bool = True, trace_jit: bool = False):
+def fig1(tier: str = "block"):
     target = build_victim("fig1_staged", TESTING)
-    target.machine.config.block_cache = block_cache
-    target.machine.config.trace_jit = trace_jit
+    target.machine.config.tier = tier
     return target
 
 
@@ -97,12 +96,10 @@ class TestWireFormat:
 class TestRestoreDifferential:
     """serialize -> deserialize -> restore == direct restore."""
 
-    @pytest.mark.parametrize("block_cache,trace_jit", [
-        (False, False), (True, False), (True, True),
-    ])
-    def test_identical_to_direct_restore(self, block_cache, trace_jit):
-        direct = fig1(block_cache, trace_jit).machine
-        wired = fig1(block_cache, trace_jit).machine
+    @pytest.mark.parametrize("tier", ["interp", "block", "trace"])
+    def test_identical_to_direct_restore(self, tier):
+        direct = fig1(tier).machine
+        wired = fig1(tier).machine
         blob = None
         snaps = {}
         for name, machine in (("direct", direct), ("wired", wired)):

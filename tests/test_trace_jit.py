@@ -14,7 +14,6 @@ import pytest
 from repro.errors import ExecutionLimitExceeded
 from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
 from repro.machine import Machine, MachineConfig
-from repro.machine import machine as machine_module
 from repro.machine.memory import PERM_RW, PERM_RWX
 from repro.observe import MetricsCollector
 
@@ -37,8 +36,7 @@ HOT_LOOP = [
 
 
 def traced_machine(**config_kwargs) -> Machine:
-    config_kwargs.setdefault("block_cache", True)
-    config_kwargs.setdefault("trace_jit", True)
+    config_kwargs.setdefault("tier", "trace")
     machine = Machine(MachineConfig(**config_kwargs))
     machine.memory.map_region(CODE, 0x1000, PERM_RWX)
     machine.memory.map_region(STACK_BASE, 0x10000, PERM_RW)
@@ -104,20 +102,18 @@ class TestInstallation:
 
 class TestRefusals:
     def test_config_disables_tracing(self):
-        machine = traced_machine(trace_jit=False)
+        machine = traced_machine(tier="block")
         run_hot(machine)
         assert machine.trace_cache_stats()["traces"] == 0
 
     def test_env_var_flips_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert MachineConfig().trace_jit is False
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert MachineConfig().trace_jit is True
-        monkeypatch.delenv("REPRO_TRACE")
-        assert MachineConfig().trace_jit is machine_module.TRACE_JIT_DEFAULT
+        monkeypatch.setenv("REPRO_TIER", "block")
+        assert MachineConfig().tier == "block"
+        monkeypatch.setenv("REPRO_TIER", "trace")
+        assert MachineConfig().tier == "trace"
 
     def test_interpreter_mode_never_traces(self):
-        machine = traced_machine(block_cache=False)
+        machine = traced_machine(tier="interp")
         run_hot(machine)
         assert machine.trace_cache_stats()["traces"] == 0
 
@@ -230,6 +226,6 @@ class TestBudgetExactness:
         # trace must retire exactly the interpreter's count and park
         # the IP on the same instruction.
         traced = self.exhaust(budget)
-        stepped = self.exhaust(budget, block_cache=False)
+        stepped = self.exhaust(budget, tier="interp")
         assert traced == stepped
         assert traced[0] == budget
