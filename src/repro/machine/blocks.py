@@ -28,17 +28,20 @@ exploit's machine state is part of the semantics):
   The shared ``except`` handler writes flags/IP/count back before
   re-raising, so a fault mid-block leaves the machine byte-identical
   to the interpreter faulting on the same instruction.
-* **Memory accesses stay policy-checked.**  Loads/stores inline the
-  fast-path test ``Machine.read_word`` & co. use -- page in
+* **Memory accesses stay policy-checked.**  Loads, stores, pushes and
+  pops are rendered from :data:`repro.machine.ir.MEMORY` by
+  :func:`repro.machine.ir.checked_access`: the fast-path test
+  ``Machine.read_word`` & co. use -- page in
   ``Memory._fast_read``/``_fast_write``, and with red zones no poisoned
   byte under the access (``_redzones`` and its page index, read at
-  block entry since ``restore`` rebinds them) -- and fall back to the
-  checked accessor for anything else: page straddles, permission
-  denials (which kernel mode may still allow), unmapped pages, poisoned
-  bytes, and writes to watched code pages or snapshot-frozen pages
-  (whose copy-on-write break must run first) -- so every fault and
-  side effect is the interpreter's own.  PMA blocks, and red-zoned
-  blocks until the machine takes a snapshot, always call the accessors.
+  block entry since ``restore`` rebinds them) -- and the checked
+  accessor for anything else: page straddles, permission denials
+  (which kernel mode may still allow), unmapped pages, poisoned bytes,
+  and writes to watched code pages or snapshot-frozen pages (whose
+  copy-on-write break must run first) -- so every fault and side
+  effect is the interpreter's own.  Memory events and the store's
+  epoch check are the block's own.  PMA blocks, and red-zoned blocks
+  until the machine takes a snapshot, always call the accessors.
 * **One semantics table.**  ALU results, compare flags and branch
   predicates are rendered from :data:`repro.machine.ir.SEMANTICS`, the
   same templates the trace compiler uses.
@@ -100,14 +103,14 @@ from repro.isa.instructions import WORD_MASK
 from repro.isa.opcodes import BLOCK_END_OPCODES
 from repro.machine.ir import (
     EFFECTIVE_ADDRESS,
-    LOAD_STORE_OPCODES,
-    MEMORY_OPCODES,
+    MEMORY,
     SEMANTICS,
-    STORE_OPCODES,
     TEMPLATE_HELPERS,
     IRInst,
+    checked_access,
     fields,
     lift_block,
+    moved_sp,
     operands,
 )
 from repro.machine.memory import PERM_X, _PAGE_SHIFT, _U32
@@ -175,7 +178,8 @@ def compile_block(machine, head: int) -> CompiledBlock | None:
     source, exit_targets = _emit(insns, masked, pma_active, inline_mem,
                                  redzones, hub)
     cells = [[None] for _ in exit_targets]
-    namespace = {"_MF": MachineFault, "_u32": _U32, **TEMPLATE_HELPERS}
+    namespace = {"_MF": MachineFault, "_up": _U32.unpack_from,
+                 "_pk": _U32.pack_into, **TEMPLATE_HELPERS}
     if hub is not None:
         namespace.update(_hj=hub.jump, _hb=hub.branch, _hc=hub.call,
                          _hr=hub.ret, _hf=hub.fault,
@@ -213,13 +217,10 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool, inline_mem: bool,
     #: Emission appended after the shared count-bump tail (reg-target
     #: terminators commit ``cpu.ip`` inside the try and fall through).
     tail_events: list[str] = []
-    uses_epoch = any(
-        irx.opcode in STORE_OPCODES and k != last_index
-        for k, irx in enumerate(insns)
-    )
-    uses_mem = inline_mem and any(
-        irx.opcode in MEMORY_OPCODES for irx in insns
-    )
+    accesses = [MEMORY.get(irx.opcode) for irx in insns]
+    uses_epoch = any(access is not None and access.write
+                     for access in accesses[:-1])
+    uses_mem = inline_mem and any(access is not None for access in accesses)
     exit_targets: list[int] = []
 
     def chain_cell(target: int) -> str:
@@ -244,19 +245,6 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool, inline_mem: bool,
         lines.append("    _cf = m.pma.check_fetch")
     lines.append("    try:")
     emit = lines.append
-
-    def address(mem) -> str:
-        return EFFECTIVE_ADDRESS.format(
-            **fields(a=f"regs[{mem.base}]", b=mem.disp))
-
-    def unpoisoned(addr: str, size: int, page: str = "") -> str:
-        # Machine.read_word & co.'s red-zone test ("" without red zones).
-        if not redzones:
-            return ""
-        if size == 1:
-            return f" and {addr} not in _rz"
-        probes = "".join(f" or {addr} + {i} in _rz" for i in (1, 2, 3))
-        return f" and ({page} not in _rzp or not ({addr} in _rz{probes}))"
 
     def set_flags(sem, f: dict) -> None:
         emit("        " + "; ".join(f"{name} = {template.format(**f)}"
@@ -283,96 +271,59 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool, inline_mem: bool,
             emit("        cpu.zf = zf; cpu.lt = lt; cpu.ult = ult")
             emit(f"        m.current_ip = {ip}")
 
-        def slow_write(call: str, pad: str = "        ") -> None:
-            # The checked-accessor path for a store: exact faults,
-            # kernel-mode bypass, watched-page invalidation -- and,
-            # since the write may have killed this very block, an
-            # epoch check that bails out with exact state and lets
-            # the dispatcher re-translate the just-written bytes.
+        def access(acc, addr: str, operand: str) -> None:
+            # Load into or store ``operand`` (ir.checked_access).  A
+            # slow-path store may have killed this very block, so it is
+            # followed by an epoch check that bails out with exact state
+            # and lets the dispatcher re-translate the written bytes.
+            setup, test, fast, slow = checked_access(acc, addr, operand,
+                                                     redzones)
+            pad = "        "
+            if inline_mem:
+                if setup is not None:
+                    emit(pad + setup)
+                emit(f"{pad}if {test}:")
+                emit(f"{pad}    {fast}")
+                if ev_write if acc.write else ev_read:
+                    hooks, event = (("_hmw", "on_write") if acc.write
+                                    else ("_hmr", "on_read"))
+                    emit(f"{pad}    m.current_ip = {ip}")
+                    emit(f"{pad}    for _ob in {hooks}: _ob.{event}(m, "
+                         f"{addr}, {acc.size}, {operand})")
+                emit(pad + "else:")
+                pad += "    "
             emit(pad + markers)
-            emit(pad + call)
-            if uses_epoch and not last:
+            emit(pad + slow)
+            if acc.write and uses_epoch and not last:
                 emit(pad + "if m._block_epoch != _e:")
                 emit(pad + "    cpu.zf = zf; cpu.lt = lt; cpu.ult = ult")
                 emit(pad + f"    cpu.ip = {nxt}")
                 emit(pad + f"    m.instructions_executed += {k + 1}")
                 emit(pad + "    return")
 
-        def read(dst: str, addr: str, size: int) -> None:
-            # ``dst = <size bytes at addr>``: the fast-page test inline,
-            # else the checked accessor (exact faults, kernel mode).
-            call = f"{dst} = m.read_{'word' if size == 4 else 'byte'}({addr})"
-            if not inline_mem:
-                emit(f"        {markers}")
-                emit(f"        {call}")
-                return
-            if size == 4:
-                emit(f"        _o = {addr} & 4095")
-                emit(f"        if _o <= 4092 and {addr} >> 12 in _fr"
-                     f"{unpoisoned(addr, 4, f'{addr} >> 12')}:")
-                emit(f"            {dst} = _u32.unpack_from("
-                     f"_mem[{addr} >> 12], _o)[0]")
-            else:
-                emit(f"        if {addr} >> 12 in _fr{unpoisoned(addr, 1)}:")
-                emit(f"            {dst} = _mem[{addr} >> 12][{addr} & 4095]")
-            if ev_read:
-                emit(f"            m.current_ip = {ip}")
-                emit(f"            for _ob in _hmr: "
-                     f"_ob.on_read(m, {addr}, {size}, {dst})")
-            emit("        else:")
-            emit(f"            {markers}")
-            emit(f"            {call}")
-
-        def write(value: str, addr: str, size: int) -> None:
-            # Store ``value``: the fast-page test inline (never true on
-            # a watched or snapshot-shared page), else slow_write.
-            width = "word" if size == 4 else "byte"
-            call = f"m.write_{width}({addr}, {value})"
-            if not inline_mem:
-                slow_write(call)
-                return
-            if size == 4:
-                emit(f"        _o = {addr} & 4095; _pn = {addr} >> 12")
-                emit(f"        if _o <= 4092 and _pn in _fw"
-                     f"{unpoisoned(addr, 4, '_pn')}:")
-                emit(f"            _u32.pack_into(_mem[_pn], _o, {value})")
-            else:
-                emit(f"        _pn = {addr} >> 12")
-                emit(f"        if _pn in _fw{unpoisoned(addr, 1)}:")
-                emit(f"            _mem[_pn][{addr} & 4095] = {value}")
-            if ev_write:
-                emit(f"            m.current_ip = {ip}")
-                emit(f"            for _ob in _hmw: "
-                     f"_ob.on_write(m, {addr}, {size}, {value})")
-            emit("        else:")
-            slow_write(call, "            ")
-
         sem = SEMANTICS.get(op)
+        acc = MEMORY.get(op)
         if op in (0x00, 0x29):  # nop / land
             if not pma_active:
                 emit("        pass")
-        elif op in LOAD_STORE_OPCODES:
-            reg, mem = ops
-            emit(f"        _a = {address(mem)}")
-            if op == 0x04:
-                read(f"regs[{reg}]", "_a", 4)
-            elif op == 0x05:
-                write(f"regs[{reg}]", "_a", 4)
-            elif op == 0x06:
-                read(f"regs[{reg}]", "_a", 1)
-            else:
-                write(f"regs[{reg}] & 255", "_a", 1)
-        elif op == 0x08:  # push: value read before SP moves (like the
-            # interpreter); SP stays decremented if the write faults.
-            emit(f"        _v = regs[{ops[0]}]")
-            emit("        _sp = (regs[8] - 4) & 4294967295")
-            emit("        regs[8] = _sp")
-            write("_v", "_sp", 4)
-        elif op == 0x09:  # pop: SP unchanged if the read faults
-            emit("        _sp = regs[8]")
-            read("_v", "_sp", 4)
-            emit("        regs[8] = (_sp + 4) & 4294967295")
-            emit(f"        regs[{ops[0]}] = _v")
+        elif acc is not None:  # in the order ir.Access states
+            reg = ops[0]
+            if not acc.sp_step:  # load / store / loadb / storeb
+                base, disp = ops[1].base, ops[1].disp
+                emit("        _a = " + EFFECTIVE_ADDRESS.format(
+                    **fields(a=f"regs[{base}]", b=disp)))
+                access(acc, "_a", acc.stored(f"regs[{reg}]")
+                       if acc.write else f"regs[{reg}]")
+            elif acc.write:  # push
+                emit(f"        _v = regs[{reg}]")
+                emit(f"        _sp = {moved_sp(acc, 'regs[8]')}")
+                emit("        regs[8] = _sp")
+                access(acc, "_sp", "_v")
+            else:  # pop
+                emit("        _sp = regs[8]")
+                access(acc, "_sp", "_v")
+                emit(f"        regs[8] = {moved_sp(acc, '_sp')}")
+                emit(f"        regs[{reg}] = _v")
         elif sem is not None and sem.result is not None:  # mov/ALU/lea
             a, b_reg, imm = operands(irx)
             f = fields(a=f"regs[{a}]", r="_t",

@@ -17,13 +17,17 @@ re-deriving it from opcode bytes --
   checks, shadow-stack checks, bounds checks, syscalls);
 * its control-flow kind and static target/fall-through addresses.
 
-It also holds :data:`SEMANTICS`, the one per-opcode semantics table:
+It also holds the two per-opcode tables both translation tiers render
+their code from, so the tiers cannot drift apart: :data:`SEMANTICS`,
 expression templates for every register result, compare and branch
-predicate.  Both translation tiers render their code from it and the
-trace compiler folds constants by evaluating it, so the tiers cannot
-drift apart.  ``cpu.py`` stays hand-written: it is the reference the
-table is checked against (``tests/test_ir.py``), and the one every
-differential suite compares the tiers with.
+predicate (the trace compiler also folds constants by evaluating
+them), and :data:`MEMORY`, the width, direction and SP step of every
+load, store, push and pop, with :func:`checked_access` rendering the
+inline fast-page access the four ``Machine`` accessors also make.
+The IR's memory def/use sets derive from :data:`MEMORY` too.
+``cpu.py`` stays hand-written: it is the reference both tables are
+checked against (``tests/test_ir.py``), and the one every differential
+suite compares the tiers with.
 
 Consumers are the superblock compiler (:mod:`repro.machine.blocks`),
 the trace JIT (:mod:`repro.machine.trace`) and the SFI rewriter
@@ -267,19 +271,114 @@ _OPERANDS_READ = {
 
 _BRANCH_OPCODES = frozenset(BRANCH_FLAGS_READ)
 
-#: Opcodes addressing memory through a ``[base + disp]`` operand:
-#: load, store, loadb, storeb.
-LOAD_STORE_OPCODES = frozenset({0x04, 0x05, 0x06, 0x07})
-#: Opcodes whose handlers go through checked memory access: the above
-#: plus push and pop, which also step SP by 4.
-MEMORY_OPCODES = LOAD_STORE_OPCODES | frozenset({0x08, 0x09})
-#: The subset that writes memory (and can so invalidate translations).
-STORE_OPCODES = frozenset({0x05, 0x07, 0x08})
+
+# -- memory-effects table ----------------------------------------------------
+
+
+class Access(NamedTuple):
+    """What one memory opcode does to memory and SP.
+
+    The data register is operand 0: a load writes it, a store reads it.
+    The ``[base + disp]`` forms touch :data:`EFFECTIVE_ADDRESS`.  Push
+    reads its value first, then moves SP down 4, then stores at the new
+    SP; SP stays moved if the store faults, and ``push sp`` stores the
+    old SP.  Pop loads at SP and moves SP up 4 only once the load
+    succeeded; it writes the destination last, so ``pop sp`` keeps the
+    loaded value.  These are ``Machine.push_word``/``pop_word``'s orders.
+    """
+
+    #: Does it write memory (and so possibly invalidate translations)?
+    write: bool
+    #: Width in bytes: 4 (a little-endian word) or 1.
+    size: int
+    #: SP step: -4 (push), +4 (pop), 0 for the ``[base + disp]`` forms.
+    sp_step: int = 0
+
+    def stored(self, value: str) -> str:
+        """What storing register expression ``value`` writes: a byte
+        store keeps the low 8 bits."""
+        return f"{value} & 255" if self.size == 1 else value
+
+
+#: Opcode -> memory effect, for every opcode whose handler calls the
+#: checked memory accessors itself (call/ret go through the machine's
+#: return-address helpers).
+MEMORY: dict[int, Access] = {
+    0x04: Access(write=False, size=4),                # load
+    0x05: Access(write=True, size=4),                 # store
+    0x06: Access(write=False, size=1),                # loadb
+    0x07: Access(write=True, size=1),                 # storeb
+    0x08: Access(write=True, size=4, sp_step=-4),     # push
+    0x09: Access(write=False, size=4, sp_step=4),     # pop
+}
+
+
+def moved_sp(access: Access, sp: str) -> str:
+    """SP after ``access``'s step, as an expression over ``sp``."""
+    template = _ADD if access.sp_step > 0 else _SUB
+    return template.format(**fields(a=sp, b=abs(access.sp_step)))
+
+
+# Both translators inline memory accesses rendered by the two functions
+# below.  The generated code must bind ``_mem`` (``Memory._pages``),
+# ``_fr``/``_fw`` (``Memory._fast_read``/``_fast_write``), ``_up``/``_pk``
+# (``memory._U32``'s little-endian word unpack and pack) and, with red
+# zones, ``_rz``/``_rzp`` (``Machine._redzones``/``_redzone_pages``);
+# the rendered code assigns the scratch locals ``_o`` and ``_pn``.
+
+
+def buffer_access(access: Access, buf: str, off: str, operand: str) -> str:
+    """The statement doing ``access`` at offset ``off`` of page buffer
+    ``buf``: a load into ``operand``, or a store of ``operand``."""
+    if access.write:
+        return (f"_pk({buf}, {off}, {operand})" if access.size == 4
+                else f"{buf}[{off}] = {operand}")
+    return (f"{operand} = _up({buf}, {off})[0]" if access.size == 4
+            else f"{operand} = {buf}[{off}]")
+
+
+def checked_access(access: Access, addr: str, operand: str,
+                   redzones: bool = False) -> tuple[str | None, str, str, str]:
+    """``access`` at address expression ``addr``, loading into or
+    storing ``operand``, as ``(setup, test, fast, slow)``: a statement
+    to run first (or None), the fast-path condition, the page-buffer
+    statement to run when it holds and the checked-accessor call to run
+    when it does not.
+
+    The test is ``Machine.read_word`` & co.'s: the access fits one page
+    in ``_fast_read``/``_fast_write`` and, with ``redzones``, no
+    poisoned byte lies under it (page index first, then each byte).
+    Everything else -- straddles, permission denials, unmapped, watched
+    or snapshot-shared pages, poison -- takes the accessor, so every
+    fault and side effect is the interpreter's own.
+    """
+    # A store names its page twice (test and buffer), a load once.
+    page = "_pn" if access.write else f"{addr} >> 12"
+    fast_pages = "_fw" if access.write else "_fr"
+    setup = [f"_pn = {addr} >> 12"] if access.write else []
+    if access.size == 4:
+        setup.insert(0, f"_o = {addr} & 4095")
+        test = f"_o <= 4092 and {page} in {fast_pages}"
+        off = "_o"
+    else:
+        test = f"{page} in {fast_pages}"
+        off = f"{addr} & 4095"
+    if redzones and access.size == 1:
+        test += f" and {addr} not in _rz"
+    elif redzones:
+        probes = "".join(f" or {addr} + {i} in _rz" for i in (1, 2, 3))
+        test += f" and ({page} not in _rzp or not ({addr} in _rz{probes}))"
+    width = "word" if access.size == 4 else "byte"
+    slow = (f"m.write_{width}({addr}, {operand})" if access.write
+            else f"{operand} = m.read_{width}({addr})")
+    return ("; ".join(setup) or None, test,
+            buffer_access(access, f"_mem[{page}]", off, operand), slow)
+
 
 #: Execute-phase fault capability on the baseline machine: memory
 #: access, div/mod by zero, indirect-transfer CFI checks, call/ret
 #: stack traffic (+ shadow stack), syscalls, chk bounds checks.
-_CAN_FAULT = MEMORY_OPCODES | frozenset(
+_CAN_FAULT = frozenset(MEMORY) | frozenset(
     {0x0F, 0x10, 0x1A, 0x23, 0x24, 0x25, 0x26, 0x28}
 )
 
@@ -310,16 +409,18 @@ def _reg_effects(insn: Instruction) -> tuple[frozenset[int], frozenset[int]]:
         reads = frozenset(regs[name] for name in _OPERANDS_READ[opcode]
                           if regs[name] is not None)
         return reads, (_EMPTY if sem.result is None else frozenset({ops[0]}))
+    access = MEMORY.get(opcode)
+    if access is not None:
+        # The address register is SP or the base; a store reads the
+        # data register and a load writes it; a step writes SP.
+        address = frozenset({SP if access.sp_step else ops[1].base})
+        data = frozenset({ops[0]})
+        step = frozenset({SP}) if access.sp_step else _EMPTY
+        if access.write:
+            return address | data, step
+        return address, data | step
     if opcode in (0x00, 0x01, 0x29):        # nop / halt / land
         return _EMPTY, _EMPTY
-    if opcode in (0x04, 0x06):              # load / loadb
-        return frozenset({ops[1].base}), frozenset({ops[0]})
-    if opcode in (0x05, 0x07):              # store / storeb
-        return frozenset({ops[0], ops[1].base}), _EMPTY
-    if opcode == 0x08:                      # push
-        return frozenset({ops[0], SP}), frozenset({SP})
-    if opcode == 0x09:                      # pop
-        return frozenset({SP}), frozenset({ops[0], SP})
     if opcode == 0x19:                      # jmp abs
         return _EMPTY, _EMPTY
     if opcode == 0x1A:                      # jmp reg

@@ -171,15 +171,30 @@ def _sys_ctr_incr(machine: "Machine") -> None:
     machine.cpu.regs[R0] = machine.pma.counter_increment(module) & WORD_MASK
 
 
+def _redzone_length(machine: "Machine", service: str) -> int:
+    """r1, capped at :data:`MAX_IO_SIZE` like I/O lengths: marking costs
+    one set update per byte, which no instruction budget interrupts, and
+    a heap overflow controls the length ``free`` passes.  A longer
+    request faults rather than (un)poisoning memory it never owned."""
+    size = machine.cpu.regs[R1]
+    if size > MAX_IO_SIZE:
+        raise SyscallFault(
+            f"sys {service}: length {size} exceeds {MAX_IO_SIZE}",
+            machine.current_ip,
+        )
+    return size
+
+
 def _sys_poison(machine: "Machine") -> None:
     """``poison(addr=r0, len=r1)`` -- mark a red zone (testing mode)."""
-    machine.poison(machine.cpu.regs[R0], machine.cpu.regs[R1])
+    machine.poison(machine.cpu.regs[R0], _redzone_length(machine, "poison"))
     machine.cpu.regs[R0] = 0
 
 
 def _sys_unpoison(machine: "Machine") -> None:
     """``unpoison(addr=r0, len=r1)`` -- clear a red zone."""
-    machine.unpoison(machine.cpu.regs[R0], machine.cpu.regs[R1])
+    machine.unpoison(machine.cpu.regs[R0],
+                     _redzone_length(machine, "unpoison"))
     machine.cpu.regs[R0] = 0
 
 

@@ -35,8 +35,11 @@ The compiler applies four optimisations the superblock tier cannot
 
 ALU results, compares and branch guards are rendered from
 :data:`repro.machine.ir.SEMANTICS`, and constants fold by evaluating
-the same templates, so the trace tier computes what the block tier
-does.
+the same templates; loads, stores, pushes and pops follow
+:data:`repro.machine.ir.MEMORY`, grouped accesses through
+:func:`~repro.machine.ir.buffer_access` and ungrouped ones through
+:func:`~repro.machine.ir.checked_access` (without red zones, which
+never trace).  So the trace tier computes what the block tier does.
 
 Exactness contract (same as blocks.py, held by the differential
 suites): every exit -- guard failure, budget exhaustion, epoch bump
@@ -56,13 +59,17 @@ from repro.errors import ExecutionLimitExceeded, MachineFault
 from repro.isa.instructions import WORD_MASK
 from repro.machine.ir import (
     EFFECTIVE_ADDRESS,
+    MEMORY,
     SEMANTICS,
     TEMPLATE_HELPERS,
     ControlKind,
     IRInst,
+    buffer_access,
+    checked_access,
     evaluate,
     fields,
     lift_at,
+    moved_sp,
     operands,
     template_fields,
 )
@@ -209,7 +216,6 @@ class _TraceCompiler:
         self.access_group: dict[int, tuple[int, int]] = {}
         self.groups: list[dict] = []
         self.has_dyn_store = False
-        self.has_dyn_mem = False
 
     # -- symbolic values: ('c', v) | ('r', base, off) | None --------------------------
 
@@ -221,16 +227,13 @@ class _TraceCompiler:
             return ("c", (sym[1] + imm) & _M)
         return ("r", sym[1], sym[2] + _signed(imm))
 
-    def _mem_sym(self, sym_state, mem):
-        return self._sym_plus(sym_state[mem.base], mem.disp)
-
     # -- phase A ----------------------------------------------------------------------
 
     def _analyze(self) -> None:
         sym = {r: ("r", r, 0) for r in range(16)}
         regver = {r: 0 for r in range(16)}
         # live forwarding candidates:
-        # dict(step, basekey, off, size, src, ver, vsym, byte)
+        # dict(step, basekey, off, size, src, ver, vsym, byte, temp_val)
         live: list[dict] = []
 
         def addr_key(asym, size):
@@ -242,9 +245,6 @@ class _TraceCompiler:
                     return None, None   # page-straddling constant access
                 return ("c", addr >> 12), addr
             return ("r", asym[1]), asym[2]
-
-        def record_access(k, kind, size, basekey, off):
-            self.access_rec.append((k, kind, size, basekey, off))
 
         def kill_for_store(basekey, off, size):
             survivors = []
@@ -259,13 +259,6 @@ class _TraceCompiler:
                     continue              # same base, overlapping bytes
                 survivors.append(st)
             live[:] = survivors
-
-        def note_store(k, basekey, off, size, src, vsym, byte):
-            kill_for_store(basekey, off, size)
-            if basekey is not None:
-                live.append(dict(step=k, basekey=basekey, off=off, size=size,
-                                 src=src, ver=regver[src], vsym=vsym,
-                                 byte=byte))
 
         def try_forward(k, basekey, off, size, byte):
             if basekey is None:
@@ -312,80 +305,53 @@ class _TraceCompiler:
             ops = irx.operands
             kind = irx.kind
             sem = SEMANTICS.get(op)
+            access = MEMORY.get(op)
             if op in (0x00, 0x29, 0x01):            # nop / land (halt filtered)
                 continue
-            if op in (0x04, 0x06):                  # load / loadb
-                byte = op == 0x06
-                size = 1 if byte else 4
-                asym = self._mem_sym(sym, ops[1])
+            if access is not None:                  # in ir.Access's order
+                reg, size = ops[0], access.size
+                byte = size == 1
+                if not access.sp_step:
+                    asym = self._sym_plus(sym[ops[1].base], ops[1].disp)
+                else:                               # push: moved SP; pop: SP
+                    moved = self._sym_plus(sym[8], access.sp_step & _M)
+                    asym = moved if access.write else sym[8]
                 basekey, off = addr_key(asym, size)
-                record_access(k, "r", size, basekey, off)
-                st = try_forward(k, basekey, off, size, byte)
-                if st is not None:
-                    expr, vsym = forward_expr(st)
-                    self.load_fwd[k] = (expr, vsym)
-                    write_reg(ops[0], vsym)
+                self.access_rec.append(
+                    (k, "w" if access.write else "r", size, basekey, off))
+                if access.write:
+                    vsym = sym[reg]
+                    if byte:
+                        vsym = (("c", vsym[1] & 255) if vsym is not None
+                                and vsym[0] == "c" else None)
+                    kill_for_store(basekey, off, size)
+                    if basekey is None:
+                        self.has_dyn_store = True
+                    else:                           # push sp: the old SP, _v
+                        temp = ("_v" if access.sp_step and reg == 8
+                                else access.stored(f"r{reg}"))
+                        live.append(dict(step=k, basekey=basekey, off=off,
+                                         size=size, src=reg,
+                                         ver=regver[reg], vsym=vsym,
+                                         byte=byte, temp_val=temp))
                 else:
-                    write_reg(ops[0], None)
-                    if basekey is not None:
+                    st = try_forward(k, basekey, off, size, byte)
+                    vsym = None
+                    if st is not None:
+                        expr, vsym = forward_expr(st)
+                        self.load_fwd[k] = (expr, vsym)
+                if access.sp_step:
+                    write_reg(8, moved)
+                if not access.write:                # the destination last
+                    write_reg(reg, vsym)
+                    if st is None and basekey is not None:
                         # Redundant-load elimination: the slot now
-                        # provably holds r{d}, so a later load of the
+                        # provably holds r{reg}, so a later load of the
                         # same bytes forwards like a store would.
-                        live.append(dict(step=k, basekey=basekey,
-                                         off=off, size=size, src=ops[0],
-                                         ver=regver[ops[0]], vsym=None,
-                                         byte=byte,
-                                         temp_val=f"r{ops[0]}"))
-            elif op in (0x05, 0x07):                # store / storeb
-                byte = op == 0x07
-                size = 1 if byte else 4
-                asym = self._mem_sym(sym, ops[1])
-                basekey, off = addr_key(asym, size)
-                record_access(k, "w", size, basekey, off)
-                src = ops[0]
-                vsym = sym[src]
-                if byte:
-                    vsym = (("c", vsym[1] & 255)
-                            if vsym is not None and vsym[0] == "c" else None)
-                note_store(k, basekey, off, size, src, vsym, byte)
-                if basekey is not None:
-                    live[-1]["temp_val"] = (f"r{src} & 255" if byte
-                                            else f"r{src}")
-                if basekey is None:
-                    self.has_dyn_store = True
-            elif op == 0x08:                        # push
-                src = ops[0]
-                vsym = sym[src]
-                asym = self._sym_plus(sym[8], -4 & _M)
-                basekey, off = addr_key(asym, 4)
-                record_access(k, "w", 4, basekey, off)
-                note_store(k, basekey, off, 4, src, vsym, False)
-                if basekey is not None:
-                    live[-1]["temp_val"] = "_v" if src == 8 else f"r{src}"
-                if basekey is None:
-                    self.has_dyn_store = True
-                write_reg(8, asym)
-            elif op == 0x09:                        # pop
-                asym = sym[8]
-                basekey, off = addr_key(asym, 4)
-                record_access(k, "r", 4, basekey, off)
-                st = try_forward(k, basekey, off, 4, False)
-                vsym = None
-                if st is not None:
-                    expr, vsym = forward_expr(st)
-                    self.load_fwd[k] = (expr, vsym)
-                new_sp = self._sym_plus(asym, 4) if asym is not None else None
-                write_reg(8, new_sp)
-                if ops[0] != 8:
-                    write_reg(ops[0], vsym if st is not None else None)
-                else:
-                    sym[8] = vsym if st is not None else None
-                if st is None and basekey is not None:
-                    live.append(dict(step=k, basekey=basekey, off=off,
-                                     size=4, src=ops[0],
-                                     ver=regver[ops[0]], vsym=None,
-                                     byte=False,
-                                     temp_val=f"r{ops[0]}"))
+                        live.append(dict(step=k, basekey=basekey, off=off,
+                                         size=size, src=reg,
+                                         ver=regver[reg], vsym=None,
+                                         byte=byte, temp_val=f"r{reg}"))
             elif sem is not None and sem.result is not None:
                 write_reg(ops[0], self._result_sym(irx, sym))
             elif sem is not None or op == 0x28:     # cmp / jcc / chk
@@ -399,7 +365,6 @@ class _TraceCompiler:
                 write_reg(8, None)
             else:  # pragma: no cover - recorder filters sys/halt
                 raise _TraceAbort(f"unsupported opcode 0x{op:02x}")
-        self.has_dyn_mem = any(rec[3] is None for rec in self.access_rec)
 
     @staticmethod
     def _result_sym(irx: IRInst, sym):
@@ -562,42 +527,23 @@ class _TraceCompiler:
             emit(f"if m._block_epoch != _e:", ind)
             exit_block(ind + 1, ip_expr, f"_nb + {k + 1}")
 
-        def dyn_read(k: int, dst: str, addr: str, size: int, fwd) -> None:
-            # An ungrouped load: the fast-page test, else the checked
-            # accessor.  A forwarded value still needs the test (a
-            # W-only page must fault as the interpreter would).
-            if size == 4:
-                emit(f"_o = {addr} & 4095")
-                emit(f"if _o <= 4092 and {addr} >> 12 in _fr:")
-                fast = f"_up(_mem[{addr} >> 12], _o)[0]"
-            else:
-                emit(f"if {addr} >> 12 in _fr:")
-                fast = f"_mem[{addr} >> 12][{addr} & 4095]"
-            emit(f"{dst} = {fast if fwd is None else fwd[0]}", 4)
+        def dyn_access(k: int, access, addr: str, data: str, fwd) -> None:
+            # An ungrouped access (ir.checked_access) loading into or
+            # storing ``data``: the fast-page test, else the checked
+            # accessor -- for a store, followed by an epoch check.  A
+            # forwarded load still needs the test (a W-only page must
+            # fault as the interpreter would).
+            setup, test, fast, slow = checked_access(access, addr, data)
+            if setup is not None:
+                emit(setup)
+            emit(f"if {test}:")
+            emit(fast if fwd is None else f"{data} = {fwd[0]}", 4)
             emit("else:")
             mat(4)
             markers(k, 4)
-            emit(f"{dst} = m.read_{'word' if size == 4 else 'byte'}({addr})",
-                 4)
-
-        def dyn_write(k: int, value: str, addr: str, size: int) -> None:
-            # An ungrouped store: the fast-page test (never true on a
-            # watched or snapshot-shared page), else the checked
-            # accessor and an epoch check.
-            if size == 4:
-                emit(f"_o = {addr} & 4095; _pn = {addr} >> 12")
-                emit("if _o <= 4092 and _pn in _fw:")
-                emit(f"_pk(_mem[_pn], _o, {value})", 4)
-            else:
-                emit(f"_pn = {addr} >> 12")
-                emit("if _pn in _fw:")
-                emit(f"_mem[_pn][{addr} & 4095] = {value}", 4)
-            emit("else:")
-            mat(4)
-            markers(k, 4)
-            width = "word" if size == 4 else "byte"
-            emit(f"m.write_{width}({addr}, {value})", 4)
-            epoch_bail(k, steps[k].ir.next_addr, 4)
+            emit(slow, 4)
+            if access.write:
+                epoch_bail(k, steps[k].ir.next_addr, 4)
 
         # -- prologue -----------------------------------------------------------------
         out.append("def _trace(m, cpu, _lim):")
@@ -664,76 +610,38 @@ class _TraceCompiler:
             grouped = k in self.access_group
             fwd = self.load_fwd.get(k)
             sem = SEMANTICS.get(op)
+            access = MEMORY.get(op)
             if op in (0x00, 0x29):
                 continue
-            elif op in (0x04, 0x06):                # load / loadb
-                d, mem = ops
-                byte = op == 0x06
-                if grouped:
-                    if fwd is not None:
-                        emit(f"r{d} = {fwd[0]}")
-                    elif byte:
-                        emit(f"r{d} = _b{self.access_group[k][0]}"
-                             f"[{group_off(k)}]")
-                    else:
-                        emit(f"r{d} = _up("
-                             f"_b{self.access_group[k][0]}, "
-                             f"{group_off(k)})[0]")
-                else:
-                    emit(f"_a = {address(mem.base, mem.disp)}")
-                    dyn_read(k, f"r{d}", "_a", 1 if byte else 4, fwd)
-                if k in self.store_temp:
-                    emit(f"_f{k} = {self.store_temp[k]}")
-            elif op in (0x05, 0x07):                # store / storeb
-                s, mem = ops
-                byte = op == 0x07
+            elif access is not None:                # in ir.Access's order
+                reg = ops[0]
+                push = access.sp_step and access.write
+                pop = access.sp_step and not access.write
+                # A load's destination, or what a store writes.
+                data = access.stored(f"r{reg}") if access.write else f"r{reg}"
+                if push:
+                    if reg == 8:                    # push sp: the old SP
+                        emit("_v = r8")
+                        data = "_v"
+                    emit(f"r8 = {moved_sp(access, 'r8')}")
                 if grouped:
                     gid = self.access_group[k][0]
-                    if byte:
-                        emit(f"_b{gid}[{group_off(k)}] = r{s} & 255")
-                    else:
-                        emit(f"_pk(_b{gid}, {group_off(k)}, "
-                             f"r{s})")
+                    fast = buffer_access(access, f"_b{gid}", group_off(k),
+                                         data)
+                    emit(fast if fwd is None else f"{data} = {fwd[0]}")
+                    if pop and reg != 8:            # pop sp keeps the load
+                        emit(f"r8 = {moved_sp(access, 'r8')}")
+                elif pop:
+                    dyn_access(k, access, "r8", "_v", fwd)
+                    if reg != 8:
+                        emit(f"r8 = {moved_sp(access, 'r8')}")
+                    emit(f"r{reg} = _v")
                 else:
-                    emit(f"_a = {address(mem.base, mem.disp)}")
-                    if byte:
-                        dyn_write(k, f"r{s} & 255", "_a", 1)
-                    else:
-                        dyn_write(k, f"r{s}", "_a", 4)
-                if k in self.store_temp:
-                    emit(f"_f{k} = {self.store_temp[k]}")
-            elif op == 0x08:                        # push
-                s = ops[0]
-                val = f"r{s}"
-                if s == 8:
-                    emit("_v = r8")
-                    val = "_v"
-                emit("r8 = (r8 - 4) & 4294967295")
-                if grouped:
-                    gid = self.access_group[k][0]
-                    emit(f"_pk(_b{gid}, {group_off(k)}, {val})")
-                else:
-                    dyn_write(k, val, "r8", 4)
-                if k in self.store_temp:
-                    emit(f"_f{k} = {self.store_temp[k]}")
-            elif op == 0x09:                        # pop
-                d = ops[0]
-                if grouped:
-                    vexpr = (fwd[0] if fwd is not None else
-                             f"_up(_b{self.access_group[k][0]},"
-                             f" {group_off(k)})[0]")
-                    if d == 8:
-                        emit(f"r8 = {vexpr}")
-                    else:
-                        emit(f"r{d} = {vexpr}")
-                        emit("r8 = (r8 + 4) & 4294967295")
-                else:
-                    dyn_read(k, "_v", "r8", 4, fwd)
-                    if d == 8:
-                        emit("r8 = _v")
-                    else:
-                        emit("r8 = (r8 + 4) & 4294967295")
-                        emit(f"r{d} = _v")
+                    addr = "r8"
+                    if not access.sp_step:
+                        addr = "_a"
+                        emit(f"_a = {address(ops[1].base, ops[1].disp)}")
+                    dyn_access(k, access, addr, data, fwd)
                 if k in self.store_temp:
                     emit(f"_f{k} = {self.store_temp[k]}")
             elif sem is not None and sem.linear == (0, 1):

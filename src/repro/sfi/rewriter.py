@@ -28,8 +28,9 @@ shipped) and produces a sandboxed object:
 * ``sys`` is replaced with ``halt``: sandboxed code gets no direct
   platform access.
 
-Every rule reads the decoded IR (:mod:`repro.machine.ir`): its memory
-opcode sets, control kinds and register def sets, never mnemonics.
+Every rule reads the decoded IR (:mod:`repro.machine.ir`): its
+memory-effects table ``MEMORY``, control kinds and register def sets,
+never mnemonics.
 The guards use r6/r7 as dedicated scratch registers (a register
 reservation, as real SFI ABIs make).  Because the assembler emits
 relocations for *every* label reference, the rewriter can expand
@@ -48,14 +49,7 @@ from repro.isa.instructions import Instruction, Mem
 from repro.isa.opcodes import OperandFormat
 from repro.isa.registers import R6, R7, SP
 from repro.link.objfile import ObjectFile, Relocation, Symbol, TEXT
-from repro.machine.ir import (
-    LOAD_STORE_OPCODES,
-    MEMORY_OPCODES,
-    STORE_OPCODES,
-    ControlKind,
-    IRInst,
-    lift,
-)
+from repro.machine.ir import MEMORY, ControlKind, IRInst, lift
 
 #: Sandbox size: low bits preserved by the mask.
 SANDBOX_MASK = 0xFFFFF  # 1 MiB
@@ -78,8 +72,9 @@ def _sets_sp(irx: IRInst) -> bool:
     """
     if SP not in irx.writes:
         return False
-    if irx.opcode in MEMORY_OPCODES:
-        return irx.opcode not in STORE_OPCODES and irx.operands[0] == SP
+    access = MEMORY.get(irx.opcode)
+    if access is not None:
+        return not access.write and irx.operands[0] == SP
     return irx.kind not in _STACK_STEP_KINDS
 
 
@@ -225,7 +220,8 @@ class SFIRewriter:
             out.append(_Emitted(build.jmp_reg(R6)))
             return out
 
-        if irx.opcode in LOAD_STORE_OPCODES:
+        access = MEMORY.get(irx.opcode)
+        if access is not None and not access.sp_step:
             reg, mem = insn.operands
             result = [
                 _Emitted(build.mov_rr(R6, mem.base)),

@@ -19,9 +19,9 @@ patterns the compiler folds (stack discipline, base+offset arrays).
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
+from repro.isa import Mem, R0, R1, R2, R3, SP, build, encode_many
 from repro.machine import Machine, MachineConfig, RunResult
 
 from tests.test_differential_blocks import (
@@ -97,7 +97,11 @@ def counting_loop(body, iterations=40, counter=R2):
 #: base+offset memory traffic (r3 is seeded with a DATA pointer) and
 #: stack discipline.  Destinations stay in r0/r1 so the loop counter
 #: (r2) usually survives; when a pop clobbers r3 the body faults --
-#: fault parity is part of the contract.
+#: fault parity is part of the contract.  Every memory form is drawn:
+#: loadb, SP as the pushed/popped register and as a base.  ``or r3, r3``
+#: keeps r3's value but not the compiler's knowledge of it, and
+#: ``[sp-0x1004]`` stretches SP's access group past one page; both send
+#: accesses down the ungrouped path.
 _BODY_INSN = st.one_of(
     st.builds(build.load, st.integers(0, 1),
               st.builds(Mem, st.just(3), st.sampled_from([0, 4, 8]))),
@@ -115,6 +119,15 @@ _BODY_INSN = st.one_of(
     st.builds(build.mov_ri, st.integers(0, 1),
               st.sampled_from([0, 7, DATA + 0x800])),
     st.builds(build.shl, st.integers(0, 1), st.integers(0, 3)),
+    st.builds(build.loadb, st.integers(0, 1),
+              st.builds(Mem, st.just(3), st.sampled_from([0, 5]))),
+    st.just(build.push(SP)),
+    st.just(build.pop(SP)),
+    st.just(build.or_rr(R3, R3)),
+    st.builds(lambda make, reg, disp: make(reg, Mem(SP, disp)),
+              st.sampled_from([build.load, build.store, build.loadb,
+                               build.storeb]),
+              st.integers(0, 1), st.sampled_from([-0x1004, -8, 0, 5])),
 )
 
 
@@ -122,6 +135,12 @@ class TestFuzzedLoops:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_BODY_INSN, min_size=0, max_size=10),
            st.integers(2, 50))
+    # The memory forms whose emission has special cases: push sp
+    # stores the old SP, pop sp keeps the loaded value, and byte
+    # accesses through an untracked base go through the checked path.
+    @example([build.push(SP), build.pop(SP)], 20)
+    @example([build.mov_rr(R0, R3), build.shl(R0, 0),
+              build.storeb(R1, Mem(R0, 5)), build.loadb(R1, Mem(R0, 5))], 20)
     def test_random_loop_identical(self, body, iterations):
         # Unbalanced push/pop bodies walk the stack pointer a little
         # further every iteration -- exactly the case where a trace's

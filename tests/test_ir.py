@@ -5,7 +5,8 @@ the superblock builder consumes ``ends_block``/``lift_block`` and the
 trace compiler consumes register effects and FLAGS liveness.  A wrong
 ``reads``/``writes`` set silently miscompiles, so the effects are
 pinned per instruction class here.  Both tiers also render their
-arithmetic, compares and branches from ``ir.SEMANTICS``; the table is
+arithmetic, compares and branches from ``ir.SEMANTICS`` and their
+loads, stores, pushes and pops from ``ir.MEMORY``; both tables are
 checked here against ``cpu.py``'s hand-written handlers, the reference
 every differential suite compares the tiers with.
 """
@@ -13,12 +14,13 @@ every differential suite compares the tiers with.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import DivisionFault
-from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
+from repro.errors import DivisionFault, MemoryFault
+from repro.isa import Mem, R0, R1, R2, R3, SP, build, encode_many
 from repro.isa.instructions import Instruction, to_signed
 from repro.isa.opcodes import OPCODE_SPECS, OperandFormat
 from repro.machine import CPU, Machine, MachineConfig
@@ -26,8 +28,9 @@ from repro.machine.cpu import _DISPATCH
 from repro.machine.ir import (
     BRANCH_FLAGS_READ,
     COMPARE_FLAGS,
+    EFFECTIVE_ADDRESS,
+    MEMORY,
     ControlKind,
-    MEMORY_OPCODES,
     RESULT_FLAGS,
     SEMANTICS,
     evaluate,
@@ -36,7 +39,7 @@ from repro.machine.ir import (
     lift_block,
     operands,
 )
-from repro.machine.memory import PERM_RWX
+from repro.machine.memory import PERM_RW, PERM_RWX
 
 CODE = 0x1000
 
@@ -301,6 +304,120 @@ class TestSemanticsTable:
                 continue
             irx = lift(sample_insn(opcode), CODE)
             assert (opcode in SEMANTICS
-                    or opcode in MEMORY_OPCODES
+                    or opcode in MEMORY
                     or irx.kind is not ControlKind.FALL
                     or not (irx.writes or irx.flags_written)), spec
+
+
+# -- the memory-effects table against the reference (cpu.py) -----------------
+
+#: The one mapped data page, filled with seeded random bytes so that a
+#: load from the wrong address or of the wrong width reads otherwise.
+PAGE = 0x00300000
+PAGE_BYTES = random.Random(17).randbytes(0x1000)
+#: A page-aligned address nothing maps.
+UNMAPPED = 0x00500000
+#: R1's value (the data register): wider than a byte in every byte.
+DATA_VALUE = 0x89ABCDEF
+
+
+def table_effect(insn: Instruction, regs: list[int],
+                 page: bytearray) -> bool:
+    """Apply ``insn`` to ``regs`` and the data page ``page`` as its
+    :data:`MEMORY` entry states it; returns True when it faults."""
+    access = MEMORY[insn.opcode]
+    reg, size = insn.operands[0], access.size
+    moved = (regs[SP] + access.sp_step) & 0xFFFFFFFF
+    if access.sp_step:  # push stores at the moved SP, pop loads at SP
+        address = moved if access.write else regs[SP]
+    else:
+        mem = insn.operands[1]
+        address = evaluate(EFFECTIVE_ADDRESS, a=regs[mem.base],
+                           b=mem.disp & 0xFFFFFFFF)
+    offset = address - PAGE
+    mapped = 0 <= offset <= 0x1000 - size
+    if access.write:
+        value = eval(access.stored("v"), {"v": regs[reg]})  # read first
+        assert 0 <= value < 1 << 8 * size, "stored value exceeds the width"
+        regs[SP] = moved if access.sp_step else regs[SP]  # then SP moves
+        if not mapped:
+            return True  # SP stays moved
+        page[offset:offset + size] = value.to_bytes(size, "little")
+        return False
+    if not mapped:
+        return True  # nothing moved
+    value = int.from_bytes(page[offset:offset + size], "little")
+    regs[SP] = moved if access.sp_step else regs[SP]
+    regs[reg] = value  # the destination last: pop sp keeps the load
+    return False
+
+
+def check_memory_effect(insn: Instruction, r2: int = PAGE,
+                        sp: int = PAGE + 0x800) -> None:
+    """Run ``insn`` through its ``cpu.py`` handler on a machine with one
+    mapped data page, R1 = :data:`DATA_VALUE` and the given R2 and SP,
+    and compare registers, the page and the fault with
+    :func:`table_effect`."""
+    machine = Machine(MachineConfig(tier="interp"))
+    machine.memory.map_region(PAGE, 0x1000, PERM_RW)
+    machine.memory.write_bytes(PAGE, PAGE_BYTES)
+    regs = machine.cpu.regs
+    regs[R1], regs[R2], regs[SP] = DATA_VALUE, r2, sp
+    expected_regs = list(regs)
+    expected_page = bytearray(PAGE_BYTES)
+    faults = table_effect(insn, expected_regs, expected_page)
+    try:
+        _DISPATCH[insn.opcode](machine.cpu, insn, machine)
+    except MemoryFault:
+        assert faults, "the reference faulted, the table does not"
+    else:
+        assert not faults, "the table faults, the reference does not"
+    assert list(regs) == expected_regs
+    assert machine.memory.read_bytes(PAGE, 0x1000) == expected_page
+
+
+#: ``[base + disp]`` operands as (base value, disp): positive, negative
+#: and wrapping displacements, the page's first and last bytes, a word
+#: straddling the page end, and an unmapped target.
+BASE_DISP = [
+    (PAGE + 0x100, 8), (PAGE + 0x100, -8), (PAGE + 0x100, -0x100),
+    (0xFFFFFFF0, PAGE + 0x20), (PAGE + 0x20, -0x7FFFFFFF - 1),
+    (PAGE + 0xFFC, 3), (PAGE + 0xFFE, 0), (UNMAPPED, 4),
+]
+#: SP values: mid-page, the page's first/last word, a word straddling
+#: the page end, SP at the page start and at 0 (a push wraps below
+#: it), and an unmapped stack.
+STACK_POINTERS = [PAGE + 0x100, PAGE + 4, PAGE + 0xFFC, PAGE + 0xFFE,
+                  PAGE, 0, UNMAPPED]
+BASE_FORMS = sorted(op for op, access in MEMORY.items()
+                    if not access.sp_step)
+STACK_FORMS = sorted(op for op, access in MEMORY.items() if access.sp_step)
+
+
+class TestMemoryTable:
+    """``ir.MEMORY`` against the ``cpu.py`` handlers: the address each
+    access touches, its width and stored value, the destination and SP
+    afterwards, and the fault state when the target is unmapped."""
+
+    @pytest.mark.parametrize("opcode", BASE_FORMS)
+    @pytest.mark.parametrize("base, disp", BASE_DISP)
+    def test_base_displacement_forms_match_cpu(self, opcode, base, disp):
+        check_memory_effect(Instruction(opcode, (R1, Mem(R2, disp))),
+                            r2=base)
+
+    @pytest.mark.parametrize("opcode", BASE_FORMS)
+    def test_data_register_is_also_the_base(self, opcode):
+        # The address is formed before a load overwrites its base.
+        check_memory_effect(Instruction(opcode, (R2, Mem(R2, 4))))
+        check_memory_effect(Instruction(opcode, (SP, Mem(SP, -4))))
+
+    @pytest.mark.parametrize("opcode", STACK_FORMS)
+    @pytest.mark.parametrize("sp", STACK_POINTERS)
+    def test_stack_forms_match_cpu(self, opcode, sp):
+        check_memory_effect(Instruction(opcode, (R1,)), sp=sp)
+
+    @pytest.mark.parametrize("opcode", STACK_FORMS)
+    @pytest.mark.parametrize("sp", STACK_POINTERS)
+    def test_stack_forms_on_sp_match_cpu(self, opcode, sp):
+        # push sp stores the old SP; pop sp keeps the loaded value.
+        check_memory_effect(Instruction(opcode, (SP,)), sp=sp)

@@ -335,3 +335,21 @@ class TestRedZones:
             build.mov_ri(R1, 0x00200200), build.load(R2, Mem(R1, 0)),
         ])
         assert isinstance(result.fault, RedZoneFault)
+
+    @pytest.mark.parametrize("number", [syscalls.SYS_POISON,
+                                        syscalls.SYS_UNPOISON])
+    @pytest.mark.parametrize("length", [syscalls.MAX_IO_SIZE + 1,
+                                        0xFFFFFFFC])
+    def test_redzone_syscall_length_is_capped(self, number, length):
+        # A guest-chosen length (a corrupted heap chunk header reaches
+        # free's poison call) must not stall the simulator inside one
+        # syscall: past MAX_IO_SIZE the call faults and leaves the red
+        # zones as they were.
+        machine = make_machine(MachineConfig(redzones=True))
+        machine.poison(0x00200100, 8)
+        result = run_program(machine, [
+            build.mov_ri(R0, 0x00200000), build.mov_ri(R1, length),
+            build.sys(number), build.halt(),
+        ])
+        assert isinstance(result.fault, SyscallFault)
+        assert machine._redzones == set(range(0x00200100, 0x00200108))
